@@ -54,14 +54,14 @@ type fetchEntry struct {
 const uopChunk = 128
 
 // scratch is the recyclable allocation-heavy state of a core: the uop
-// arena's free list and the event-heap and waiting-list backing arrays.
+// arena's free list and the event-heap and ready-list backing arrays.
 // Cores draw one from a package pool at construction and Release returns
 // it when the run ends, so a grid's many sequential cells reuse the same
 // uop slots and consumers arrays instead of re-warming fresh ones.
 type scratch struct {
-	events  eventQueue
-	waiting []waitRef
-	free    []*uop
+	events eventQueue
+	ready  []*uop
+	free   []*uop
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -105,17 +105,20 @@ type Core struct {
 	fus    *fuPool // single pool, or cluster 0 when Clustered
 	fusDup *fuPool // cluster 1 (duplicate stream) when Clustered
 
-	// events, waiting and freeUops live in sc but are mirrored here as
+	// events, ready and freeUops live in sc but are mirrored here as
 	// direct fields for the hot loop; Release writes them back.
 	sc       *scratch
 	events   eventQueue
 	freeUops []*uop
 	freeFn   func(*uop) // c.freeUop, bound once (method values allocate)
 
-	// waiting is the age-ordered list of dispatched-but-unissued uops
-	// that selectIssue scans — the issue window's candidates — replacing
-	// a full sweep of the RUU every cycle.
-	waiting []waitRef
+	// ready is the issue window's selectable set: the uWaiting uops
+	// whose producers have all completed (waitCount == 0), in age (seq)
+	// order. A uop enters when its last operand is woken — at dispatch
+	// or in completeUop (see makeReady) — and leaves when it issues or
+	// completes by reuse, so selectIssue never looks at a uop that is
+	// still waiting on a producer.
+	ready []*uop
 
 	// regVer counts architected-register writes entering the pipeline,
 	// for the name-based reuse test. Wrong-path bumps are never undone:
@@ -208,7 +211,7 @@ func NewAt(cfg Config, m *fsim.Machine) (*Core, error) {
 	}
 	c.sc = scratchPool.Get().(*scratch)
 	c.events = c.sc.events
-	c.waiting = c.sc.waiting
+	c.ready = c.sc.ready
 	c.freeUops = c.sc.free
 	c.freeFn = c.freeUop
 	c.fus = newFUPool(cfg.FUs)
@@ -232,7 +235,7 @@ func NewAt(cfg Config, m *fsim.Machine) (*Core, error) {
 }
 
 // Release returns the core's recyclable buffers (the uop arena, event
-// heap and waiting list) to the package pool for the next run. The sim
+// heap and ready list) to the package pool for the next run. The sim
 // driver calls it when a run's statistics have been extracted; the core
 // must not be ticked afterwards. Release is idempotent and optional —
 // a core that is never released just leaves its buffers to the GC.
@@ -245,11 +248,11 @@ func (c *Core) Release() {
 	// Drop uop references held beyond the slices' logical lengths so the
 	// pooled backing arrays do not pin a finished run's pipeline state.
 	clear(c.events)
-	clear(c.waiting)
+	clear(c.ready[:cap(c.ready)])
 	sc.events = c.events[:0]
-	sc.waiting = c.waiting[:0]
+	sc.ready = c.ready[:0]
 	sc.free = c.freeUops
-	c.events, c.waiting, c.freeUops = nil, nil, nil
+	c.events, c.ready, c.freeUops = nil, nil, nil
 	scratchPool.Put(sc)
 }
 
@@ -277,7 +280,7 @@ func (c *Core) allocUop() *uop {
 
 // freeUop recycles u at commit or squash. Bumping the generation
 // invalidates every stale reference still held by the event heap,
-// consumer links, rename tables and the waiting list.
+// consumer links and rename tables.
 //
 //lint:hotpath
 func (c *Core) freeUop(u *uop) {
@@ -470,17 +473,22 @@ func (c *Core) dispatch() {
 			primary.memAccess = true
 			c.lsq.push(primary)
 		}
-		if primary.state == uWaiting {
-			c.waiting = append(c.waiting, waitRef{primary, primary.gen})
-		}
 		for _, dupU := range dups {
 			c.ruu.push(dupU)
-			if dupU.state == uWaiting {
-				c.waiting = append(c.waiting, waitRef{dupU, dupU.gen})
-			}
 		}
 
 		c.wireAndRename(primary, dups)
+		// Copies whose operands are all available are selectable now;
+		// the rest enter the ready list when their last producer wakes
+		// them. FUNone and TRB-served copies never issue.
+		if primary.state == uWaiting && primary.waitCount == 0 {
+			c.makeReady(primary)
+		}
+		for _, dupU := range dups {
+			if dupU.state == uWaiting && dupU.waitCount == 0 {
+				c.makeReady(dupU)
+			}
+		}
 		if c.tracer != nil {
 			c.tracer.Dispatch(c.cycle, primary.seq, false, wrong, &primary.rec)
 			for _, dupU := range dups {
@@ -702,30 +710,27 @@ func (c *Core) selectIssue() {
 	// the first pass regardless — it is overlapped with wakeup and
 	// consumes neither an issue slot nor a functional unit.
 	//
-	// Each pass scans the age-ordered waiting list — only the uops still
-	// in uWaiting, not the whole RUU — compacting it in place: entries
-	// that issued, completed by reuse, or went stale (squashed and
-	// recycled, detectable by the generation tag) are dropped.
+	// Each pass walks only the ready list, compacting it in place:
+	// entries that issued or completed by reuse are dropped. A reuse hit
+	// in the first pass wakes its consumers into the list while the walk
+	// is under way; they are younger than the hit, so makeReady places
+	// them in the unscanned tail and — with IRBChaining under the
+	// data-capture scheduler — they can be selected in this same cycle.
+	// A reuse hit that resolves a mispredicted branch recovers, and the
+	// recovery ends this cycle's selection (recover rebuilt the list).
 	for pass := 0; pass < 2; pass++ {
-		w := c.waiting[:0]
-		for k := 0; k < len(c.waiting); k++ {
-			ref := c.waiting[k]
-			u := ref.u
-			if u.gen != ref.gen || u.state != uWaiting {
-				continue
-			}
-			recovered := c.trySelect(u, pass, &slots, selDelay)
-			if u.state == uWaiting {
-				w = append(w, ref)
-			}
-			if recovered {
-				// Recovery already rebuilt c.waiting from the
-				// surviving window; the compaction in flight here
-				// is stale and must not be written back.
+		w := 0
+		for k := 0; k < len(c.ready); k++ {
+			u := c.ready[k]
+			if c.trySelect(u, pass, &slots, selDelay) {
 				return
 			}
+			if u.state == uWaiting {
+				c.ready[w] = u
+				w++
+			}
 		}
-		c.waiting = w
+		c.ready = c.ready[:w]
 		if c.streams == 1 {
 			break
 		}
@@ -736,15 +741,15 @@ func (c *Core) selectIssue() {
 	}
 }
 
-// trySelect runs the per-candidate body of the issue loop: the overlapped
-// IRB reuse test on the first pass, then the pass's slot and functional
-// unit arbitration. It reports whether a reuse completion resolved a
-// mispredicted branch and triggered recovery, in which case the caller's
-// scan state is invalid and it must return immediately.
+// trySelect runs the per-candidate body of the issue loop for a ready-list
+// uop: the overlapped IRB reuse test on the first pass, then the pass's
+// slot and functional unit arbitration. It reports whether a reuse
+// completion resolved a mispredicted branch and triggered recovery, which
+// ends the cycle's selection.
 //
 //lint:hotpath
 func (c *Core) trySelect(u *uop, pass int, slots *int, selDelay uint64) bool {
-	if u.waitCount > 0 || u.readyAt+selDelay > c.cycle {
+	if u.readyAt+selDelay > c.cycle {
 		return false
 	}
 
@@ -795,6 +800,23 @@ func (c *Core) trySelect(u *uop, pass int, slots *int, selDelay uint64) bool {
 		c.events.schedule(c.cycle+uint64(op.Info().Latency), evExecDone, u)
 	}
 	return false
+}
+
+// makeReady inserts u, whose last pending operand has just been produced,
+// into the ready list at its age position. Wakeups mostly concern young
+// uops, so the insertion walks from the tail; during selectIssue's walk a
+// woken consumer is always younger than the reuse hit that woke it and
+// so lands in the unscanned part of the list.
+//
+//lint:hotpath
+func (c *Core) makeReady(u *uop) {
+	r := append(c.ready, u)
+	i := len(r) - 1
+	for ; i > 0 && r[i-1].seq > u.seq; i-- {
+		r[i] = r[i-1]
+	}
+	r[i] = u
+	c.ready = r
 }
 
 // reuseTest runs the configured reuse test for a PC-hitting duplicate:
@@ -982,6 +1004,9 @@ func (c *Core) completeUop(u *uop) bool {
 		if consumer.readyAt < at {
 			consumer.readyAt = at
 		}
+		if consumer.waitCount == 0 && consumer.state == uWaiting {
+			c.makeReady(consumer)
+		}
 	}
 	u.consumers = u.consumers[:0]
 
@@ -1023,13 +1048,13 @@ func (c *Core) recover(u *uop) {
 		c.tracer.Squash(c.cycle, killed)
 	}
 	c.rebuildRename()
-	// Rebuild the waiting list from the surviving window: the squashed
-	// suffix is gone, and when recovery fired from inside selectIssue a
-	// compaction was in flight over the old list.
-	c.waiting = c.waiting[:0]
+	// Rebuild the ready list from the surviving window, which is in age
+	// order: the squashed suffix is gone, and a compaction may have been
+	// in flight over the old list if recovery fired inside selectIssue.
+	c.ready = c.ready[:0]
 	for i := 0; i < c.ruu.len(); i++ {
-		if s := c.ruu.at(i); s.state == uWaiting {
-			c.waiting = append(c.waiting, waitRef{s, s.gen})
+		if s := c.ruu.at(i); s.state == uWaiting && s.waitCount == 0 {
+			c.ready = append(c.ready, s)
 		}
 	}
 	if c.trb != nil {

@@ -22,9 +22,8 @@ const (
 //
 // uops are recycled through the core's free list rather than allocated per
 // instruction. gen counts recyclings: every reference that can outlive the
-// uop (completion events, consumer links, waiting-list entries, rename
-// table slots) carries the gen it was created under and is dropped when
-// the counts no longer match.
+// uop (completion events, consumer links, rename table slots) carries the
+// gen it was created under and is dropped when the counts no longer match.
 type uop struct {
 	seq  uint64 // global dispatch order
 	gen  uint32 // recycling generation (bumped on free)
@@ -85,14 +84,6 @@ type uop struct {
 // wired under; a consumer that was squashed and recycled before its
 // producer completed is recognized by the mismatch and skipped.
 type consumerLink struct {
-	u   *uop
-	gen uint32
-}
-
-// waitRef is one entry of the age-ordered waiting list selectIssue scans.
-// Entries are dropped lazily: a stale generation means the uop was
-// squashed and its slot reissued.
-type waitRef struct {
 	u   *uop
 	gen uint32
 }

@@ -124,7 +124,7 @@ func (c *Core) recoverFault(head, dupU *uop) {
 		c.tracer.Squash(c.cycle, killed)
 	}
 	c.rebuildRename()
-	c.waiting = c.waiting[:0]
+	c.ready = c.ready[:0]
 	c.fetchPC = pc
 	c.fq.clear()
 	c.fetchStopped = false
