@@ -43,7 +43,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzProgramDecode -fuzztime=20s -run '^$$' ./internal/program
 	$(GO) test -fuzz=FuzzIRBLookup -fuzztime=20s -run '^$$' ./internal/irb
 	$(GO) test -fuzz=FuzzTRBLookup -fuzztime=20s -run '^$$' ./internal/trb
-	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=20s -run '^$$' ./internal/fabric
+	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=20s -run '^$$' ./internal/journal
 
 # Run the serving daemon (README "Serving" section for the API).
 serve:

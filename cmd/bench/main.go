@@ -142,6 +142,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	dieMode, _ := core.DIE.Info()
 	for _, nc := range sim.HeadlineConfigs() {
 		nc := nc
 		measure("SimulatorThroughput/"+nc.Name, "insns_per_s", float64(insns), func(b *testing.B) {
@@ -182,7 +183,7 @@ func main() {
 				for i := 0; i < b.N; i++ {
 					// NewBatchSim resets each lane injector, so reuse across
 					// iterations replays the identical campaign.
-					if _, err := sim.RunBatchContext(nil, "DIE", core.BaseDIE(), gzip,
+					if _, err := sim.RunBatchContext(nil, "DIE", dieMode.Base(), gzip,
 						sim.Options{Insns: insns, Trace: tr}, lanes); err != nil {
 						b.Fatal(err)
 					}
@@ -202,7 +203,7 @@ func main() {
 	}
 	campaign := func() []runner.Job {
 		jobs := []runner.Job{{
-			Name: "DIE/clean", Config: core.BaseDIE(), Profile: gzip,
+			Name: "DIE/clean", Config: dieMode.Base(), Profile: gzip,
 			Opts: sim.Options{Insns: insns, Trace: tr},
 		}}
 		for s := 1; s <= campaignSeeds; s++ {
@@ -211,7 +212,7 @@ func main() {
 				fail(err)
 			}
 			jobs = append(jobs, runner.Job{
-				Name: fmt.Sprintf("DIE/fu-s%d", s), Config: core.BaseDIE(), Profile: gzip,
+				Name: fmt.Sprintf("DIE/fu-s%d", s), Config: dieMode.Base(), Profile: gzip,
 				Opts: sim.Options{Insns: insns, Trace: tr, Injector: inj},
 			})
 		}

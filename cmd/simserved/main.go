@@ -9,16 +9,13 @@
 //	go run ./cmd/simserved -addr :9000 -workers 4 -queue 16
 //	go run ./cmd/simserved -insns 100000 -verify -pprof
 //
-// The daemon also forms a fault-tolerant sweep fabric (see DESIGN.md §13):
+// With -data-dir the daemon keeps a crash-safe run journal (see
+// DESIGN.md §13): accepted runs, completed cells and cache inserts are
+// fsynced as they happen, and a restart on the same directory restores
+// finished runs and resumes unfinished ones from their last completed
+// cell:
 //
-//	go run ./cmd/simserved -role coordinator -data-dir /var/lib/simserved
-//	go run ./cmd/simserved -role worker -peers http://coord:8344 -addr :8345
-//
-// A coordinator shards grid cells across pull-based workers under
-// heartbeat-renewed leases, re-queues cells lost to crashes, degrades to
-// in-process execution with no workers live, and journals run state so
-// its own restarts resume from the last completed cell. A worker is a
-// standalone daemon that additionally pulls leased cells from -peers.
+//	go run ./cmd/simserved -data-dir /var/lib/simserved
 //
 // SIGINT/SIGTERM drains gracefully: new runs get 503, /readyz fails so
 // load balancers stop routing, and in-flight runs finish before exit.
@@ -32,12 +29,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/cliutil"
-	"repro/internal/fabric"
+	"repro/internal/journal"
 	"repro/internal/service"
 	"repro/internal/sim"
 )
@@ -55,18 +51,8 @@ func main() {
 	jobs := cliutil.Jobs(flag.CommandLine)
 	cellTimeout := flag.Duration("cell-timeout", 0,
 		"per-cell wall-clock bound with one retry (0 = unbounded)")
-	role := flag.String("role", "standalone",
-		"daemon role: standalone, coordinator (shard cells to workers) or worker (pull cells from -peers)")
-	peers := flag.String("peers", "",
-		"comma-separated coordinator URLs a worker pulls from (the first entry is used; worker role only)")
-	maxLease := flag.Int("max-lease-cells", 0,
-		"cells a worker holds per lease (0 = the coordinator's default batch; worker role only)")
 	dataDir := flag.String("data-dir", "",
-		"crash-safe run journal directory (coordinator/standalone; empty = no journal)")
-	workerID := flag.String("worker-id", "",
-		"stable worker identity on the fabric (default: the hostname)")
-	leaseTTL := flag.Duration("lease-ttl", 10*time.Second,
-		"coordinator lease lifetime without a heartbeat renewal")
+		"crash-safe run journal directory (empty = no journal)")
 	flag.Parse()
 
 	cfg := service.Config{
@@ -85,38 +71,25 @@ func main() {
 	defer stop()
 
 	var (
-		journal *fabric.Journal
-		recs    []fabric.Record
-		stats   fabric.ReplayStats
+		recs  []journal.Record
+		stats journal.ReplayStats
 	)
 	if *dataDir != "" {
 		var err error
-		journal, recs, stats, err = fabric.OpenJournal(*dataDir)
+		cfg.Journal, recs, stats, err = journal.OpenJournal(*dataDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "simserved:", err)
 			os.Exit(1)
 		}
-		defer journal.Close()
-		cfg.Journal = journal
+		defer cfg.Journal.Close()
 		if stats.TruncatedBytes > 0 {
 			fmt.Fprintf(os.Stderr, "simserved: journal: discarded %d-byte torn tail (%s)\n",
 				stats.TruncatedBytes, stats.TailError)
 		}
 	}
 
-	switch *role {
-	case "standalone", "worker":
-	case "coordinator":
-		coord := fabric.NewCoordinator(fabric.CoordinatorConfig{LeaseTTL: *leaseTTL})
-		coord.Start(ctx)
-		cfg.Coordinator = coord
-	default:
-		fmt.Fprintf(os.Stderr, "simserved: unknown -role %q (want standalone, coordinator or worker)\n", *role)
-		os.Exit(1)
-	}
-
 	srv := service.New(cfg)
-	if journal != nil && len(recs) > 0 {
+	if len(recs) > 0 {
 		fmt.Fprintf(os.Stderr, "simserved: replaying %d journal records\n", stats.Records)
 		resumed, err := srv.RecoverJournal(ctx, recs, stats)
 		if err != nil {
@@ -125,32 +98,6 @@ func main() {
 		if resumed > 0 {
 			fmt.Fprintf(os.Stderr, "simserved: resumed %d unfinished run(s) from the journal\n", resumed)
 		}
-	}
-
-	if *role == "worker" {
-		base := firstPeer(*peers)
-		if base == "" {
-			fmt.Fprintln(os.Stderr, "simserved: -role worker requires -peers")
-			os.Exit(1)
-		}
-		id := *workerID
-		if id == "" {
-			id, _ = os.Hostname()
-		}
-		if id == "" {
-			id = "worker-" + strings.TrimPrefix(*addr, ":")
-		}
-		w := &fabric.Worker{
-			Client:   &fabric.Client{BaseURL: base},
-			ID:       id,
-			MaxCells: *maxLease,
-			Exec:     srv.RunJobs,
-			OnError: func(err error) {
-				fmt.Fprintln(os.Stderr, "simserved: worker:", err)
-			},
-		}
-		go w.Run(ctx)
-		fmt.Fprintf(os.Stderr, "simserved: worker %s pulling from %s\n", id, base)
 	}
 
 	httpSrv := &http.Server{
@@ -169,7 +116,7 @@ func main() {
 		done <- httpSrv.Shutdown(shutCtx)
 	}()
 
-	fmt.Fprintf(os.Stderr, "simserved: %s listening on %s\n", *role, *addr)
+	fmt.Fprintf(os.Stderr, "simserved: listening on %s\n", *addr)
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "simserved:", err)
 		os.Exit(1)
@@ -179,15 +126,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "simserved: drained cleanly")
-}
-
-// firstPeer picks the first non-empty entry of a comma-separated peer
-// list, trimming a trailing slash so path joins stay clean.
-func firstPeer(peers string) string {
-	for _, p := range strings.Split(peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			return strings.TrimSuffix(p, "/")
-		}
-	}
-	return ""
 }

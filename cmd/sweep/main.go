@@ -50,16 +50,12 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run (see package doc)")
 	fl := cliutil.RegisterExperimentFlags(flag.CommandLine, sim.DefaultInsns, "")
 	format := cliutil.Format(flag.CommandLine)
-	csv := flag.Bool("csv", false, "deprecated: alias for -format csv")
 	progress := flag.Bool("progress", false, "report live per-cell progress on stderr")
 	traceReplay := flag.String("trace-replay", "on",
 		"on: capture each benchmark's functional trace once and replay it in every cell; off: interpret per cell")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a post-sweep heap profile to this file")
 	flag.Parse()
-	if *csv {
-		*format = "csv"
-	}
 	if *traceReplay != "on" && *traceReplay != "off" {
 		fmt.Fprintf(os.Stderr, "sweep: -trace-replay must be on or off, got %q\n", *traceReplay)
 		os.Exit(1)

@@ -24,10 +24,15 @@ func main() {
 		log.Fatal("gzip profile missing")
 	}
 	opts := sim.Options{Insns: 150_000}
+	// Machines resolve through the mode registry: each descriptor's Base
+	// builder returns the paper's Section 2.2 baseline in that mode.
+	sieMode, _ := core.SIE.Info()
+	dieMode, _ := core.DIE.Info()
+	dieIRBMode, _ := core.DIEIRB.Info()
 
 	fmt.Println("int ALUs   SIE IPC   DIE IPC   DIE loss")
 	for _, alus := range []int{2, 3, 4, 6, 8} {
-		sie := core.BaseSIE()
+		sie := sieMode.Base()
 		sie.FUs[isa.FUIntALU] = alus
 		die := sie
 		die.Mode = core.DIE
@@ -44,11 +49,11 @@ func main() {
 	}
 
 	// The punchline: DIE-IRB at 4 ALUs vs DIE at 8 ALUs.
-	irb, err := sim.Run("DIE-IRB", core.BaseDIEIRB(), profile, opts)
+	irb, err := sim.Run("DIE-IRB", dieIRBMode.Base(), profile, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	die8 := core.BaseDIE().WithDoubledALUs()
+	die8 := dieMode.Base().WithDoubledALUs()
 	r8, err := sim.Run("DIE-2xALU", die8, profile, opts)
 	if err != nil {
 		log.Fatal(err)

@@ -46,7 +46,8 @@ func handWritten() {
 	b.Emit(isa.Instr{Op: isa.OpHalt})
 	prog := b.MustBuild()
 
-	c, err := core.New(core.BaseDIEIRB(), prog)
+	dieIRBMode, _ := core.DIEIRB.Info()
+	c, err := core.New(dieIRBMode.Base(), prog)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,7 +78,8 @@ func profileBased() {
 		CondBranches: 1, ArrayWords: 1 << 11, Stride: 1,
 		ValueRange: 32, ChainDepth: 2,
 	}
-	r, err := sim.Run("DIE-IRB", core.BaseDIEIRB(), histogram, sim.Options{
+	dieIRBMode, _ := core.DIEIRB.Info()
+	r, err := sim.Run("DIE-IRB", dieIRBMode.Base(), histogram, sim.Options{
 		Insns:  100_000,
 		Verify: true,
 	})

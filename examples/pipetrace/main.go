@@ -31,7 +31,8 @@ func main() {
 	b.Emit(isa.Instr{Op: isa.OpHalt})
 	prog := b.MustBuild()
 
-	cfg := core.BaseDIEIRB()
+	dieIRBMode, _ := core.DIEIRB.Info()
+	cfg := dieIRBMode.Base()
 	cfg.MaxInsns = 2000
 	c, err := core.New(cfg, prog)
 	if err != nil {

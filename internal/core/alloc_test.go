@@ -48,9 +48,9 @@ func TestAllocBudgetPerInstruction(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"SIE", BaseSIE()},
-		{"DIE", BaseDIE()},
-		{"DIE-IRB", BaseDIEIRB()},
+		{"SIE", baseConfig(SIE)},
+		{"DIE", baseConfig(DIE)},
+		{"DIE-IRB", baseConfig(DIEIRB)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const budget = 0.02
@@ -69,7 +69,7 @@ func TestScratchPoolReuse(t *testing.T) {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
 	prog := loopProgram(500)
-	c, err := New(quicken(BaseDIE()), prog)
+	c, err := New(quicken(baseConfig(DIE)), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestScratchPoolReuse(t *testing.T) {
 		t.Fatal("run left no recycled uops in the free list")
 	}
 	c.Release()
-	c2, err := New(quicken(BaseDIE()), prog)
+	c2, err := New(quicken(baseConfig(DIE)), prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 func TestNewBatchSimValidation(t *testing.T) {
 	prog := loopProgram(50)
 	mk := func() *Core {
-		c, err := New(BaseDIE(), prog)
+		c, err := New(baseConfig(DIE), prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestNewBatchSimValidation(t *testing.T) {
 // batch with no fault-free lane aborts the leader with ErrBatchDrained.
 func TestBatchSimLaneAccounting(t *testing.T) {
 	prog := loopProgram(50)
-	c, err := New(BaseDIE(), prog)
+	c, err := New(baseConfig(DIE), prog)
 	if err != nil {
 		t.Fatal(err)
 	}

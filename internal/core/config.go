@@ -248,25 +248,6 @@ func baseConfig(m Mode) Config {
 	return c
 }
 
-// BaseSIE returns the paper's baseline machine.
-//
-// Deprecated: resolve modes through the registry instead — e.g.
-// core.ModeByName("SIE") and the descriptor's Base builder — so new modes
-// need no new constructor. Kept as a thin alias for existing snippets.
-func BaseSIE() Config { return baseConfig(SIE) }
-
-// BaseDIE returns the paper's baseline DIE machine: identical resources to
-// BaseSIE, shared by both instruction streams.
-//
-// Deprecated: resolve modes through the registry instead (see BaseSIE).
-func BaseDIE() Config { return baseConfig(DIE) }
-
-// BaseDIEIRB returns the paper's proposed machine: BaseDIE plus the
-// 1024-entry direct-mapped IRB.
-//
-// Deprecated: resolve modes through the registry instead (see BaseSIE).
-func BaseDIEIRB() Config { return baseConfig(DIEIRB) }
-
 // Streams returns how many copies of each architected instruction the
 // configured machine dispatches: the mode's stream count, widened by
 // VoteWidth for voting modes.

@@ -157,8 +157,8 @@ func TestAllModesMatchOracle(t *testing.T) {
 
 func TestSIEFasterThanDIE(t *testing.T) {
 	for _, prog := range allPrograms() {
-		sie := runVerified(t, quicken(BaseSIE()), prog)
-		die := runVerified(t, quicken(BaseDIE()), prog)
+		sie := runVerified(t, quicken(baseConfig(SIE)), prog)
+		die := runVerified(t, quicken(baseConfig(DIE)), prog)
 		if die.Stats.IPC() > sie.Stats.IPC()*1.01 {
 			t.Errorf("%s: DIE IPC %.3f exceeds SIE IPC %.3f", prog.Name, die.Stats.IPC(), sie.Stats.IPC())
 		}
@@ -173,9 +173,9 @@ func TestSIEFasterThanDIE(t *testing.T) {
 // DIE-IRB must land between DIE and SIE.
 func TestDIEIRBRecoversIPC(t *testing.T) {
 	prog := loopProgram(2000)
-	sie := runVerified(t, quicken(BaseSIE()), prog).Stats.IPC()
-	die := runVerified(t, quicken(BaseDIE()), prog).Stats.IPC()
-	irbC := runVerified(t, quicken(BaseDIEIRB()), prog)
+	sie := runVerified(t, quicken(baseConfig(SIE)), prog).Stats.IPC()
+	die := runVerified(t, quicken(baseConfig(DIE)), prog).Stats.IPC()
+	irbC := runVerified(t, quicken(baseConfig(DIEIRB)), prog)
 	irbIPC := irbC.Stats.IPC()
 	if die >= sie {
 		t.Fatalf("expected DIE (%.3f) < SIE (%.3f) on ALU-bound loop", die, sie)
@@ -189,7 +189,7 @@ func TestDIEIRBRecoversIPC(t *testing.T) {
 }
 
 func TestDupStreamSkipsFUsOnReuse(t *testing.T) {
-	c := runVerified(t, quicken(BaseDIEIRB()), loopProgram(2000))
+	c := runVerified(t, quicken(baseConfig(DIEIRB)), loopProgram(2000))
 	total := c.Stats.IRBReuseHits + c.Stats.DupFUExec
 	if total == 0 {
 		t.Fatal("no duplicate executions recorded")
@@ -205,11 +205,11 @@ func TestDupStreamSkipsFUsOnReuse(t *testing.T) {
 
 func TestDIEDoublesDynamicInstructions(t *testing.T) {
 	prog := loopProgram(200)
-	die := runVerified(t, quicken(BaseDIE()), prog)
+	die := runVerified(t, quicken(baseConfig(DIE)), prog)
 	if die.Stats.CopiesCommitted != 2*die.Stats.Committed {
 		t.Errorf("copies %d != 2x architected %d", die.Stats.CopiesCommitted, die.Stats.Committed)
 	}
-	sie := runVerified(t, quicken(BaseSIE()), prog)
+	sie := runVerified(t, quicken(baseConfig(SIE)), prog)
 	if sie.Stats.CopiesCommitted != sie.Stats.Committed {
 		t.Errorf("SIE copies %d != architected %d", sie.Stats.CopiesCommitted, sie.Stats.Committed)
 	}
@@ -219,7 +219,7 @@ func TestDIEDoublesDynamicInstructions(t *testing.T) {
 }
 
 func TestStoreToLoadForwarding(t *testing.T) {
-	c := runVerified(t, quicken(BaseSIE()), memProgram(200))
+	c := runVerified(t, quicken(baseConfig(SIE)), memProgram(200))
 	if c.Stats.LoadForwarded == 0 {
 		t.Error("no forwarded loads in a store/reload loop")
 	}
@@ -229,7 +229,7 @@ func TestStoreToLoadForwarding(t *testing.T) {
 }
 
 func TestBranchRecovery(t *testing.T) {
-	c := runVerified(t, quicken(BaseSIE()), branchyProgram(500))
+	c := runVerified(t, quicken(baseConfig(SIE)), branchyProgram(500))
 	if c.Stats.Mispredicts == 0 {
 		t.Error("pseudo-random branches never mispredicted")
 	}
@@ -243,15 +243,15 @@ func TestBranchRecovery(t *testing.T) {
 
 func TestMoreALUsHelpDIE(t *testing.T) {
 	prog := loopProgram(2000)
-	die := runVerified(t, quicken(BaseDIE()), prog).Stats.IPC()
-	die2x := runVerified(t, quicken(BaseDIE().WithDoubledALUs()), prog).Stats.IPC()
+	die := runVerified(t, quicken(baseConfig(DIE)), prog).Stats.IPC()
+	die2x := runVerified(t, quicken(baseConfig(DIE).WithDoubledALUs()), prog).Stats.IPC()
 	if die2x <= die {
 		t.Errorf("2xALU DIE IPC %.3f not above DIE %.3f on ALU-bound loop", die2x, die)
 	}
 }
 
 func TestMaxInsnsStopsEarly(t *testing.T) {
-	cfg := quicken(BaseSIE())
+	cfg := quicken(baseConfig(SIE))
 	cfg.MaxInsns = 50
 	c, err := New(cfg, loopProgram(10000))
 	if err != nil {
@@ -266,12 +266,12 @@ func TestMaxInsnsStopsEarly(t *testing.T) {
 }
 
 func TestConfigValidationErrors(t *testing.T) {
-	bad := BaseSIE()
+	bad := baseConfig(SIE)
 	bad.RUUSize = 0
 	if _, err := New(bad, loopProgram(1)); err == nil {
 		t.Error("accepted zero RUU")
 	}
-	bad2 := BaseSIE()
+	bad2 := baseConfig(SIE)
 	bad2.Mode = "NMR-9" // not a registered mode
 	if _, err := New(bad2, loopProgram(1)); err == nil {
 		t.Error("accepted unknown mode")
@@ -281,12 +281,12 @@ func TestConfigValidationErrors(t *testing.T) {
 	if _, err := New(bad4, loopProgram(1)); err == nil {
 		t.Error("accepted even vote width")
 	}
-	bad5 := BaseDIE()
+	bad5 := baseConfig(DIE)
 	bad5.ReplayEpoch = 128 // knob only meaningful in REPLAY mode
 	if _, err := New(bad5, loopProgram(1)); err == nil {
 		t.Error("accepted ReplayEpoch on a non-replay mode")
 	}
-	bad3 := BaseDIEIRB()
+	bad3 := baseConfig(DIEIRB)
 	bad3.IRB.Entries = 3
 	if _, err := New(bad3, loopProgram(1)); err == nil {
 		t.Error("accepted invalid IRB config")
@@ -296,7 +296,7 @@ func TestConfigValidationErrors(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	prog := branchyProgram(300)
 	run := func() Stats {
-		c, err := New(quicken(BaseDIEIRB()), prog)
+		c, err := New(quicken(baseConfig(DIEIRB)), prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +312,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestIRBInsertsHappenAtCommit(t *testing.T) {
-	c := runVerified(t, quicken(BaseDIEIRB()), loopProgram(500))
+	c := runVerified(t, quicken(baseConfig(DIEIRB)), loopProgram(500))
 	st := c.IRB().Stats
 	if st.Inserts == 0 {
 		t.Fatal("no IRB inserts")
@@ -323,7 +323,7 @@ func TestIRBInsertsHappenAtCommit(t *testing.T) {
 }
 
 func TestSIEIRBReusesToo(t *testing.T) {
-	cfg := quicken(BaseSIE())
+	cfg := quicken(baseConfig(SIE))
 	cfg.Mode = SIEIRB
 	c := runVerified(t, cfg, loopProgram(1000))
 	if c.Stats.IRBReuseHits == 0 {
@@ -424,7 +424,7 @@ func TestNewAtRejectsHaltedMachine(t *testing.T) {
 	if _, err := m.Run(1 << 20); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewAt(quicken(BaseSIE()), m); err == nil {
+	if _, err := NewAt(quicken(baseConfig(SIE)), m); err == nil {
 		t.Error("NewAt accepted a halted machine")
 	}
 }
@@ -435,7 +435,7 @@ func TestNewAtResumesMidProgram(t *testing.T) {
 	if _, err := m.Run(100); err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewAt(quicken(BaseSIE()), m)
+	c, err := NewAt(quicken(baseConfig(SIE)), m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func commitStream(t *testing.T, cfg Config, prog *program.Program) ([]fsim.Retir
 // IRB plumbing paths — lookup issue, update traffic, the reuse-test
 // plumbing — making it a differential probe of the reuse path itself.
 func alwaysMissIRB() Config {
-	cfg := quicken(BaseDIEIRB())
+	cfg := quicken(baseConfig(DIEIRB))
 	cfg.IRB.Entries = 1
 	cfg.IRB.LookupLat = 1 << 30
 	return cfg
@@ -65,7 +65,7 @@ func TestDifferentialAlwaysMissIRBMatchesDIE(t *testing.T) {
 			t.Parallel()
 			prog := randomProgram(seed)
 
-			dieStream, dieStats := commitStream(t, quicken(BaseDIE()), prog)
+			dieStream, dieStats := commitStream(t, quicken(baseConfig(DIE)), prog)
 			irbStream, irbStats := commitStream(t, alwaysMissIRB(), prog)
 
 			if irbStats.IRBReuseHits != 0 {
@@ -101,8 +101,8 @@ func TestDifferentialRealIRBKeepsArchitecture(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			prog := randomProgram(seed)
-			dieStream, _ := commitStream(t, quicken(BaseDIE()), prog)
-			irbStream, _ := commitStream(t, quicken(BaseDIEIRB()), prog)
+			dieStream, _ := commitStream(t, quicken(baseConfig(DIE)), prog)
+			irbStream, _ := commitStream(t, quicken(baseConfig(DIEIRB)), prog)
 			if !reflect.DeepEqual(dieStream, irbStream) {
 				t.Fatal("DIE-IRB with live reuse diverged architecturally from DIE")
 			}
@@ -125,8 +125,8 @@ func TestDifferentialTRBMatchesIRBAndDIE(t *testing.T) {
 			t.Parallel()
 			prog := randomProgram(seed)
 
-			dieStream, dieStats := commitStream(t, quicken(BaseDIE()), prog)
-			irbStream, irbStats := commitStream(t, quicken(BaseDIEIRB()), prog)
+			dieStream, dieStats := commitStream(t, quicken(baseConfig(DIE)), prog)
+			irbStream, irbStats := commitStream(t, quicken(baseConfig(DIEIRB)), prog)
 			trbStream, trbStats := commitStream(t, quicken(baseConfig(DIETRB)), prog)
 
 			if trbStats.FaultsDetected != 0 || trbStats.FaultsSilent != 0 {
@@ -184,7 +184,7 @@ func TestDifferentialTRBLoopWorkloadsNonVacuous(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			irbStream, _ := commitStream(t, quicken(BaseDIEIRB()), prog)
+			irbStream, _ := commitStream(t, quicken(baseConfig(DIEIRB)), prog)
 			trbStream, trbStats := commitStream(t, quicken(baseConfig(DIETRB)), prog)
 			if trbStats.TRBBlockHits == 0 || trbStats.TRBInstrSkipped == 0 {
 				t.Fatalf("%s: TRB never served a window (hits %d, skipped %d) — differential is vacuous",

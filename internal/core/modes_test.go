@@ -68,7 +68,7 @@ func TestModeRegistryExhaustive(t *testing.T) {
 // TestModeValidationNamesRegistry: the unknown-mode error must teach the
 // registered names, since the registry is now the only source of truth.
 func TestModeValidationNamesRegistry(t *testing.T) {
-	bad := BaseSIE()
+	bad := baseConfig(SIE)
 	bad.Mode = "QMR"
 	err := bad.Validate()
 	if err == nil {
@@ -208,7 +208,7 @@ func TestReplayDetectsAtEpochScale(t *testing.T) {
 // every commit is covered by some checked epoch.
 func TestReplayChargesBandwidth(t *testing.T) {
 	prog := loopProgram(1000)
-	sie := runVerified(t, quicken(BaseSIE()), prog)
+	sie := runVerified(t, quicken(baseConfig(SIE)), prog)
 	rep := runVerified(t, quicken(baseREPLAY()), prog)
 	if rep.Stats.Cycles <= sie.Stats.Cycles {
 		t.Errorf("REPLAY (%d cycles) not slower than SIE (%d): replay bandwidth unpaid",
@@ -241,7 +241,7 @@ func TestDifferentialReplayAndTMRMatchSIE(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			prog := randomProgram(seed)
-			sieStream, sieStats := commitStream(t, quicken(BaseSIE()), prog)
+			sieStream, sieStats := commitStream(t, quicken(baseConfig(SIE)), prog)
 			for _, mode := range []Mode{REPLAY, TMR} {
 				stream, stats := commitStream(t, quicken(baseConfig(mode)), prog)
 				if stats.Committed != sieStats.Committed {

@@ -101,9 +101,9 @@ func TestRandomProgramsMatchOracle(t *testing.T) {
 func TestRandomProgramsDIEInvariants(t *testing.T) {
 	f := func(seedRaw uint16) bool {
 		prog := randomProgram(uint64(seedRaw))
-		sie := runVerified(t, quicken(BaseSIE()), prog)
-		die := runVerified(t, quicken(BaseDIE()), prog)
-		irb := runVerified(t, quicken(BaseDIEIRB()), prog)
+		sie := runVerified(t, quicken(baseConfig(SIE)), prog)
+		die := runVerified(t, quicken(baseConfig(DIE)), prog)
+		irb := runVerified(t, quicken(baseConfig(DIEIRB)), prog)
 		return die.Stats.CopiesCommitted == 2*die.Stats.Committed &&
 			irb.Stats.CopiesCommitted == 2*irb.Stats.Committed &&
 			sie.Stats.Committed == die.Stats.Committed &&

@@ -65,7 +65,7 @@ func TestRecoveryPerStream(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			inj := &fault.Persistent{Site: fault.FU, PC: pc, Dup: dup, Bit: 5, MaxFaults: 1}
-			c := runInjected(t, quicken(BaseDIE()), prog, inj)
+			c := runInjected(t, quicken(baseConfig(DIE)), prog, inj)
 			if inj.Injected != 1 {
 				t.Fatalf("injected %d faults, want 1", inj.Injected)
 			}
@@ -91,13 +91,13 @@ func TestRecoveryPerStream(t *testing.T) {
 // run, and the run still ends architecturally correct.
 func TestRecoveryReExecutes(t *testing.T) {
 	prog := loopProgram(800)
-	clean := runVerified(t, quicken(BaseDIE()), prog)
+	clean := runVerified(t, quicken(baseConfig(DIE)), prog)
 
 	inj, err := fault.New(fault.Config{Site: fault.FU, Rate: 5e-3, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty := runInjected(t, quicken(BaseDIE()), prog, inj)
+	faulty := runInjected(t, quicken(baseConfig(DIE)), prog, inj)
 	if faulty.Stats.FaultsDetected == 0 {
 		t.Fatal("no faults detected")
 	}
@@ -127,7 +127,7 @@ func TestRecoveryMTTR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := runInjected(t, quicken(BaseDIE()), loopProgram(800), inj)
+	c := runInjected(t, quicken(baseConfig(DIE)), loopProgram(800), inj)
 	if c.Stats.FaultRepairs == 0 {
 		t.Fatal("no repairs recorded")
 	}
@@ -148,7 +148,7 @@ func TestStuckIRBEntryScrubbed(t *testing.T) {
 	prog := loopProgram(2000)
 	pc := findPC(t, prog, isa.OpXor, 3) // invariant: reuse-hits every iteration
 	inj := &fault.Persistent{Site: fault.IRBResult, PC: pc, Bit: 3, MaxFaults: 1}
-	c := runInjected(t, quicken(BaseDIEIRB()), prog, inj)
+	c := runInjected(t, quicken(baseConfig(DIEIRB)), prog, inj)
 	if inj.Injected != 1 {
 		t.Fatalf("injected %d faults, want 1", inj.Injected)
 	}
@@ -176,7 +176,7 @@ func TestPersistentFaultEscalates(t *testing.T) {
 	prog := loopProgram(300)
 	pc := findPC(t, prog, isa.OpAdd, 2)
 	inj := &fault.Persistent{Site: fault.FU, PC: pc, Bit: 7}
-	c, err := New(quicken(BaseDIE()), prog)
+	c, err := New(quicken(baseConfig(DIE)), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestPersistentFaultEscalates(t *testing.T) {
 func TestFaultRetryLimitConfigurable(t *testing.T) {
 	prog := loopProgram(300)
 	pc := findPC(t, prog, isa.OpAdd, 2)
-	cfg := quicken(BaseDIE())
+	cfg := quicken(baseConfig(DIE))
 	cfg.FaultRetryLimit = 2
 	c, err := New(cfg, prog)
 	if err != nil {
@@ -233,7 +233,7 @@ func TestRecoveryDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return runInjected(t, quicken(BaseDIEIRB()), loopProgram(800), inj).Stats
+		return runInjected(t, quicken(baseConfig(DIEIRB)), loopProgram(800), inj).Stats
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("identical faulty runs diverged:\n%+v\n%+v", a, b)
@@ -244,7 +244,7 @@ func TestRecoveryDeterministic(t *testing.T) {
 // injectable site on both dual modes — the acceptance sweep in miniature:
 // completion with oracle-verified state and zero silent corruptions.
 func TestRecoveryAcrossAllSites(t *testing.T) {
-	for _, cfg := range []Config{quicken(BaseDIE()), quicken(BaseDIEIRB())} {
+	for _, cfg := range []Config{quicken(baseConfig(DIE)), quicken(baseConfig(DIEIRB))} {
 		for _, site := range fault.Sites() {
 			if cfg.Mode == DIE && (site == fault.IRBResult || site == fault.IRBOperand) {
 				continue // no IRB to strike

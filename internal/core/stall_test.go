@@ -13,20 +13,20 @@ import (
 // the pipeline still retires the correct stream.
 
 func TestTinyRUUStalls(t *testing.T) {
-	cfg := quicken(BaseSIE())
+	cfg := quicken(baseConfig(SIE))
 	cfg.RUUSize = 4
 	c := runVerified(t, cfg, loopProgram(300))
 	if c.Stats.RUUFullStalls == 0 {
 		t.Error("4-entry RUU never filled")
 	}
-	big := runVerified(t, quicken(BaseSIE()), loopProgram(300))
+	big := runVerified(t, quicken(baseConfig(SIE)), loopProgram(300))
 	if c.Stats.IPC() >= big.Stats.IPC() {
 		t.Errorf("tiny RUU IPC %.3f not below full RUU %.3f", c.Stats.IPC(), big.Stats.IPC())
 	}
 }
 
 func TestTinyLSQStalls(t *testing.T) {
-	cfg := quicken(BaseSIE())
+	cfg := quicken(baseConfig(SIE))
 	cfg.LSQSize = 1
 	c := runVerified(t, cfg, memProgram(100))
 	if c.Stats.LSQFullStalls == 0 {
@@ -35,7 +35,7 @@ func TestTinyLSQStalls(t *testing.T) {
 }
 
 func TestTinyFetchQueue(t *testing.T) {
-	cfg := quicken(BaseSIE())
+	cfg := quicken(baseConfig(SIE))
 	cfg.FetchQueue = 2
 	c := runVerified(t, cfg, loopProgram(300))
 	// A 2-entry fetch queue cannot feed an 8-wide dispatch.
@@ -45,12 +45,12 @@ func TestTinyFetchQueue(t *testing.T) {
 }
 
 func TestColdICacheStallsFetch(t *testing.T) {
-	cfg := quicken(BaseSIE())
+	cfg := quicken(baseConfig(SIE))
 	// One-set L1I: nearly every block transition misses.
 	cfg.Cache.L1I.Sets = 1
 	cfg.Cache.L1I.Assoc = 1
 	slow := runVerified(t, cfg, branchyProgram(200))
-	fast := runVerified(t, quicken(BaseSIE()), branchyProgram(200))
+	fast := runVerified(t, quicken(baseConfig(SIE)), branchyProgram(200))
 	if slow.Stats.IPC() >= fast.Stats.IPC() {
 		t.Errorf("thrashing L1I IPC %.3f not below normal %.3f",
 			slow.Stats.IPC(), fast.Stats.IPC())
@@ -79,10 +79,10 @@ func notTakenProgram(n int64) *program.Program {
 }
 
 func TestWorseBpredCostsIPC(t *testing.T) {
-	taken := quicken(BaseSIE())
+	taken := quicken(baseConfig(SIE))
 	taken.Bpred.Kind = bpred.Taken
 	worse := runVerified(t, taken, notTakenProgram(400))
-	good := runVerified(t, quicken(BaseSIE()), notTakenProgram(400))
+	good := runVerified(t, quicken(baseConfig(SIE)), notTakenProgram(400))
 	if worse.Stats.IPC() >= good.Stats.IPC() {
 		t.Errorf("static-taken IPC %.3f not below combined-predictor IPC %.3f",
 			worse.Stats.IPC(), good.Stats.IPC())
@@ -94,7 +94,7 @@ func TestWorseBpredCostsIPC(t *testing.T) {
 }
 
 func TestSingleIssueWidth(t *testing.T) {
-	cfg := quicken(BaseSIE())
+	cfg := quicken(baseConfig(SIE))
 	cfg.IssueWidth = 1
 	c := runVerified(t, cfg, loopProgram(500))
 	if c.Stats.IPC() > 1.0 {
@@ -110,9 +110,9 @@ func TestSingleIssueWidth(t *testing.T) {
 
 func TestIRBPortStarvationReducesReuse(t *testing.T) {
 	prog := loopProgram(2000)
-	full := runVerified(t, quicken(BaseDIEIRB()), prog)
+	full := runVerified(t, quicken(baseConfig(DIEIRB)), prog)
 
-	starved := quicken(BaseDIEIRB())
+	starved := quicken(baseConfig(DIEIRB))
 	starved.IRB.ReadPorts = 1
 	starved.IRB.WritePorts = 1
 	starved.IRB.RWPorts = 0
@@ -199,7 +199,7 @@ func jumpTableProgram(n int64) *program.Program {
 func TestIndirectJumpBTBTraining(t *testing.T) {
 	// A jump table exercised repeatedly: the BTB should learn stable
 	// targets and cut indirect mispredictions over time.
-	c := runVerified(t, quicken(BaseSIE()), jumpTableProgram(400))
+	c := runVerified(t, quicken(baseConfig(SIE)), jumpTableProgram(400))
 	st := c.Bpred().Stats
 	if st.IndirJumps == 0 {
 		t.Fatal("no indirect jumps recorded")

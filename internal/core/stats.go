@@ -37,7 +37,7 @@ type Stats struct {
 	TRBInstrSkipped uint64 // duplicates served a recorded window signature
 
 	// Fault accounting (see internal/fault).
-	FaultsInjected  uint64
+	FaultsInjected  uint64 // faults the run's injector applied (sim fills it from InjectedCount)
 	FaultsDetected  uint64 // commit/vote/replay check caught a signature difference
 	FaultsMasked    uint64 // injected but produced no signature difference
 	FaultsSilent    uint64 // corrupted result committed undetected (SDC escape)

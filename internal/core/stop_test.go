@@ -11,7 +11,7 @@ import (
 // same cycle-granular path context cancellation uses) and checks the
 // core returns ErrStopped with stats intact.
 func TestRequestStopHaltsRun(t *testing.T) {
-	c, err := New(BaseSIE(), loopProgram(100_000))
+	c, err := New(baseConfig(SIE), loopProgram(100_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestRequestStopHaltsRun(t *testing.T) {
 // TestRequestStopBeforeRun is the degenerate case: a pre-stopped core
 // returns immediately without simulating a cycle.
 func TestRequestStopBeforeRun(t *testing.T) {
-	c, err := New(BaseSIE(), loopProgram(1_000))
+	c, err := New(baseConfig(SIE), loopProgram(1_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestRequestStopBeforeRun(t *testing.T) {
 // exactly the supplied error — the mechanism the verify oracle uses to
 // surface a divergence instead of panicking.
 func TestAbortCarriesError(t *testing.T) {
-	c, err := New(BaseSIE(), loopProgram(100_000))
+	c, err := New(baseConfig(SIE), loopProgram(100_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestAbortCarriesError(t *testing.T) {
 
 // TestCleanRunReturnsNil pins the no-error contract for a normal halt.
 func TestCleanRunReturnsNil(t *testing.T) {
-	c, err := New(BaseSIE(), loopProgram(200))
+	c, err := New(baseConfig(SIE), loopProgram(200))
 	if err != nil {
 		t.Fatal(err)
 	}

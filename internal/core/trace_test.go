@@ -28,7 +28,7 @@ func (c *countingTracer) Commit(_, _ uint64, _ *fsim.Retired)           { c.comm
 
 func TestTracerEventCountsMatchStats(t *testing.T) {
 	prog := branchyProgram(200)
-	c, err := New(quicken(BaseDIEIRB()), prog)
+	c, err := New(quicken(baseConfig(DIEIRB)), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestTracerEventCountsMatchStats(t *testing.T) {
 func TestTextTracerOutput(t *testing.T) {
 	var sb strings.Builder
 	prog := loopProgram(5)
-	c, err := New(quicken(BaseDIEIRB()), prog)
+	c, err := New(quicken(baseConfig(DIEIRB)), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestTextTracerOutput(t *testing.T) {
 func TestTextTracerWindow(t *testing.T) {
 	var sb strings.Builder
 	prog := loopProgram(200)
-	c, err := New(quicken(BaseSIE()), prog)
+	c, err := New(quicken(baseConfig(SIE)), prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,19 +12,19 @@ import (
 // their differences are timing-only.
 
 func decoupledCfg() Config {
-	c := quicken(BaseDIEIRB())
+	c := quicken(baseConfig(DIEIRB))
 	c.Scheduler = Decoupled
 	return c
 }
 
 func nameBasedCfg() Config {
-	c := quicken(BaseDIEIRB())
+	c := quicken(baseConfig(DIEIRB))
 	c.IRBNameBased = true
 	return c
 }
 
 func clusteredCfg() Config {
-	c := quicken(BaseDIE())
+	c := quicken(baseConfig(DIE))
 	c.Clustered = true
 	return c
 }
@@ -35,7 +35,7 @@ func TestVariantsMatchOracle(t *testing.T) {
 		"name-based":          nameBasedCfg(),
 		"clustered":           clusteredCfg(),
 		"decoupled+namebased": func() Config { c := decoupledCfg(); c.IRBNameBased = true; return c }(),
-		"clustered+irb":       func() Config { c := quicken(BaseDIEIRB()); c.Clustered = true; return c }(),
+		"clustered+irb":       func() Config { c := quicken(baseConfig(DIEIRB)); c.Clustered = true; return c }(),
 	}
 	for name, cfg := range cfgs {
 		for _, prog := range allPrograms() {
@@ -50,7 +50,7 @@ func TestDecoupledSchedulerCostsCycles(t *testing.T) {
 	// Pipelining wakeup/select adds a cycle to every dependence chain:
 	// on a chain-heavy program the decoupled machine cannot be faster.
 	prog := fpProgram(300)
-	dc := runVerified(t, quicken(BaseDIEIRB()), prog)
+	dc := runVerified(t, quicken(baseConfig(DIEIRB)), prog)
 	de := runVerified(t, decoupledCfg(), prog)
 	if de.Stats.IPC() > dc.Stats.IPC()*1.001 {
 		t.Errorf("decoupled IPC %.3f above data-capture %.3f", de.Stats.IPC(), dc.Stats.IPC())
@@ -63,7 +63,7 @@ func TestNameBasedReuseLowerButPresent(t *testing.T) {
 	// test also rejects re-written-same-value registers, so it can only
 	// be at most equal.
 	prog := loopProgram(2000)
-	val := runVerified(t, quicken(BaseDIEIRB()), prog)
+	val := runVerified(t, quicken(baseConfig(DIEIRB)), prog)
 	nb := runVerified(t, nameBasedCfg(), prog)
 	if nb.Stats.IRBReuseHits == 0 {
 		t.Fatal("name-based reuse never hit")
@@ -107,26 +107,26 @@ func TestClusteredRemovesALUContention(t *testing.T) {
 	// The clustered machine gives each stream its own full set of ALUs:
 	// on an ALU-saturating loop it must beat the shared-ALU DIE...
 	prog := ilpProgram(2000)
-	die := runVerified(t, quicken(BaseDIE()), prog)
+	die := runVerified(t, quicken(baseConfig(DIE)), prog)
 	clu := runVerified(t, clusteredCfg(), prog)
 	if clu.Stats.IPC() <= die.Stats.IPC() {
 		t.Errorf("clustered IPC %.3f not above shared DIE %.3f on ALU-bound loop",
 			clu.Stats.IPC(), die.Stats.IPC())
 	}
 	// ...while the SIE bound still holds.
-	sie := runVerified(t, quicken(BaseSIE()), prog)
+	sie := runVerified(t, quicken(baseConfig(SIE)), prog)
 	if clu.Stats.IPC() > sie.Stats.IPC()*1.01 {
 		t.Errorf("clustered IPC %.3f above SIE %.3f", clu.Stats.IPC(), sie.Stats.IPC())
 	}
 }
 
 func TestClusteredValidation(t *testing.T) {
-	bad := BaseSIE()
+	bad := baseConfig(SIE)
 	bad.Clustered = true
 	if _, err := New(bad, loopProgram(1)); err == nil {
 		t.Error("Clustered SIE accepted")
 	}
-	badSched := BaseSIE()
+	badSched := baseConfig(SIE)
 	badSched.Scheduler = "tomasulo"
 	if _, err := New(badSched, loopProgram(1)); err == nil {
 		t.Error("unknown scheduler accepted")
@@ -144,8 +144,8 @@ func TestSquashReuseHarvestsWrongPath(t *testing.T) {
 	// branchyProgram mispredicts often; wrong-path work re-executes
 	// after recovery, so harvesting it must raise reuse hits.
 	prog := branchyProgram(800)
-	base := runVerified(t, quicken(BaseDIEIRB()), prog)
-	cfg := quicken(BaseDIEIRB())
+	base := runVerified(t, quicken(baseConfig(DIEIRB)), prog)
+	cfg := quicken(baseConfig(DIEIRB))
 	cfg.IRBSquashReuse = true
 	sq := runVerified(t, cfg, prog)
 	if sq.Stats.IRBReuseHits <= base.Stats.IRBReuseHits {
@@ -171,7 +171,7 @@ func TestChainingCollapsesDependentReuse(t *testing.T) {
 	b.Emit(isa.Instr{Op: isa.OpHalt})
 	prog := b.MustBuild()
 
-	sie := quicken(BaseSIE())
+	sie := quicken(baseConfig(SIE))
 	sie.Mode = SIEIRB
 	// A small window stops independent iterations from overlapping, so
 	// the chain's completion latency is what IPC measures.

@@ -251,7 +251,8 @@ func Headline(opts Options) (*Grid, HeadlineSummary, *stats.Table, error) {
 // rate, reuse (operand-match) rate of the duplicate stream, and the port-
 // denial rates, on the base DIE-IRB machine.
 func IRBHit(opts Options) (*Grid, *stats.Table, error) {
-	g, err := runGrid([]sim.NamedConfig{{Name: "DIE-IRB", Cfg: core.BaseDIEIRB()}}, opts)
+	dieIRBMode, _ := core.DIEIRB.Info()
+	g, err := runGrid([]sim.NamedConfig{{Name: "DIE-IRB", Cfg: dieIRBMode.Base()}}, opts)
 	if err != nil {
 		return g, nil, err
 	}
@@ -319,10 +320,11 @@ func Ports(opts Options) (*Grid, *stats.Table, error) {
 // routing both streams through the buffer (higher port pressure for
 // little additional benefit, since the primary must execute anyway).
 func AblationDup(opts Options) (*Grid, *stats.Table, error) {
-	both := core.BaseDIEIRB()
+	dieIRBMode, _ := core.DIEIRB.Info()
+	both := dieIRBMode.Base()
 	both.IRBBothStreams = true
 	g, err := runGrid([]sim.NamedConfig{
-		{Name: "dup-only", Cfg: core.BaseDIEIRB()},
+		{Name: "dup-only", Cfg: dieIRBMode.Base()},
 		{Name: "both-streams", Cfg: both},
 	}, opts)
 	if err != nil {
@@ -344,10 +346,11 @@ func AblationDup(opts Options) (*Grid, *stats.Table, error) {
 // whose result broadcasts grow the wakeup logic like extra issue width —
 // modeled as issue slots consumed by the IRB's read ports.
 func AblationFwd(opts Options) (*Grid, *stats.Table, error) {
-	asFU := core.BaseDIEIRB()
+	dieIRBMode, _ := core.DIEIRB.Info()
+	asFU := dieIRBMode.Base()
 	asFU.IRBAsFU = true
 	g, err := runGrid([]sim.NamedConfig{
-		{Name: "no-forwarding", Cfg: core.BaseDIEIRB()},
+		{Name: "no-forwarding", Cfg: dieIRBMode.Base()},
 		{Name: "IRB-as-FU", Cfg: asFU},
 	}, opts)
 	if err != nil {
@@ -429,17 +432,19 @@ func faultCampaigns() []struct {
 	cfg  core.Config
 	site fault.Site
 } {
+	dieMode, _ := core.DIE.Info()
+	dieIRBMode, _ := core.DIEIRB.Info()
 	return []struct {
 		mode core.Mode
 		cfg  core.Config
 		site fault.Site
 	}{
-		{core.DIE, core.BaseDIE(), fault.FU},
-		{core.DIE, core.BaseDIE(), fault.Forward},
-		{core.DIEIRB, core.BaseDIEIRB(), fault.FU},
-		{core.DIEIRB, core.BaseDIEIRB(), fault.Forward},
-		{core.DIEIRB, core.BaseDIEIRB(), fault.IRBResult},
-		{core.DIEIRB, core.BaseDIEIRB(), fault.IRBOperand},
+		{core.DIE, dieMode.Base(), fault.FU},
+		{core.DIE, dieMode.Base(), fault.Forward},
+		{core.DIEIRB, dieIRBMode.Base(), fault.FU},
+		{core.DIEIRB, dieIRBMode.Base(), fault.Forward},
+		{core.DIEIRB, dieIRBMode.Base(), fault.IRBResult},
+		{core.DIEIRB, dieIRBMode.Base(), fault.IRBOperand},
 	}
 }
 
@@ -548,6 +553,8 @@ func RecoveryRates() []float64 { return []float64{1e-5, 1e-4, 1e-3} }
 // campaign cell that cannot reach an architecturally correct final state
 // fails loudly rather than skewing the table.
 func Recovery(opts Options) ([]RecoveryRow, *stats.Table, error) {
+	dieMode, _ := core.DIE.Info()
+	dieIRBMode, _ := core.DIEIRB.Info()
 	profiles, err := opts.profiles()
 	if err != nil {
 		return nil, nil, err
@@ -558,8 +565,8 @@ func Recovery(opts Options) ([]RecoveryRow, *stats.Table, error) {
 	// Job layout: the two fault-free baselines (DIE, DIE-IRB) first, then
 	// one campaign block per (campaign × rate), each over all profiles.
 	baselines := []sim.NamedConfig{
-		{Name: string(core.DIE), Cfg: core.BaseDIE()},
-		{Name: string(core.DIEIRB), Cfg: core.BaseDIEIRB()},
+		{Name: string(core.DIE), Cfg: dieMode.Base()},
+		{Name: string(core.DIEIRB), Cfg: dieIRBMode.Base()},
 	}
 	var (
 		jobs []runner.Job
@@ -636,7 +643,8 @@ func Recovery(opts Options) ([]RecoveryRow, *stats.Table, error) {
 // ConfigTable renders the baseline machine parameters (the paper's
 // configuration table).
 func ConfigTable() *stats.Table {
-	cfg := core.BaseSIE()
+	sieMode, _ := core.SIE.Info()
+	cfg := sieMode.Base()
 	t := stats.NewTable("Baseline machine configuration (paper Section 2.2)",
 		"parameter", "value")
 	t.AddRow("fetch/decode/issue/commit width", fmt.Sprintf("%d/%d/%d/%d",
@@ -702,12 +710,14 @@ func Cluster(opts Options) (*Grid, *stats.Table, error) {
 // SIE with a worst case approaching 45%. It runs both suites combined —
 // the SPEC95 profiles are otherwise untouched by the other experiments.
 func Prior24(opts Options) (*Grid, *stats.Table, error) {
+	sieMode, _ := core.SIE.Info()
+	dieMode, _ := core.DIE.Info()
 	if len(opts.Benchmarks) > 0 {
 		return nil, nil, fmt.Errorf("experiments: prior24 always runs the combined suites")
 	}
 	cfgs := []sim.NamedConfig{
-		{Name: "SIE", Cfg: core.BaseSIE()},
-		{Name: "DIE", Cfg: core.BaseDIE()},
+		{Name: "SIE", Cfg: sieMode.Base()},
+		{Name: "DIE", Cfg: dieMode.Base()},
 	}
 	g, err := runGridProfiles(cfgs, append(workload.SPEC95(), workload.SPEC2000()...), opts)
 	if err != nil {
@@ -771,11 +781,12 @@ type PredictionRow struct {
 // measured columns — the predictor's contract is ordering programs by
 // reuse potential, not matching absolute rates.
 func ReusePrediction(opts Options) ([]PredictionRow, float64, *stats.Table, error) {
+	dieIRBMode, _ := core.DIEIRB.Info()
 	profiles, err := opts.profiles()
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	cfgs := []sim.NamedConfig{{Name: "DIE-IRB", Cfg: core.BaseDIEIRB()}}
+	cfgs := []sim.NamedConfig{{Name: "DIE-IRB", Cfg: dieIRBMode.Base()}}
 	g, err := runGridProfiles(cfgs, profiles, opts)
 	if err != nil {
 		return nil, 0, nil, err

@@ -49,12 +49,14 @@ func TestGridSerialParallelEquivalence(t *testing.T) {
 // fails on every benchmark, every other cell still completes, and the
 // aggregate error names the failed cells.
 func TestGridErrorIsolation(t *testing.T) {
-	bad := core.BaseDIE()
+	sieMode, _ := core.SIE.Info()
+	dieMode, _ := core.DIE.Info()
+	bad := dieMode.Base()
 	bad.RUUSize = -1
 	cfgs := []sim.NamedConfig{
-		{Name: "SIE", Cfg: core.BaseSIE()},
+		{Name: "SIE", Cfg: sieMode.Base()},
 		{Name: "broken", Cfg: bad},
-		{Name: "DIE", Cfg: core.BaseDIE()},
+		{Name: "DIE", Cfg: dieMode.Base()},
 	}
 	opts := quickOpts()
 	opts.Insns = 10_000

@@ -42,10 +42,12 @@ func trbSites() []fault.Site {
 // IPC ladder and reuse composition, an AVERAGE row, and one fault@site
 // row per campaign for the silent-corruption gate in CI.
 func TRBAblation(opts Options) ([]TRBRow, []FaultRow, *stats.Table, error) {
+	dieMode, _ := core.DIE.Info()
+	dieIRBMode, _ := core.DIEIRB.Info()
 	opts.Verify = true
 	cfgs := []sim.NamedConfig{
-		{Name: string(core.DIE), Cfg: core.BaseDIE()},
-		{Name: string(core.DIEIRB), Cfg: core.BaseDIEIRB()},
+		{Name: string(core.DIE), Cfg: dieMode.Base()},
+		{Name: string(core.DIEIRB), Cfg: dieIRBMode.Base()},
 		{Name: string(core.DIETRB), Cfg: baseDIETRB()},
 	}
 	g, err := runGrid(cfgs, opts)

@@ -179,13 +179,6 @@ func (i *Injector) AfterIRBInsert(pc uint64, b *irb.IRB) {
 	}
 }
 
-// Spec returns the campaign configuration the injector was built from.
-// The fabric uses it to ship a cell's fault campaign over the wire: a
-// worker rebuilds an equivalent fresh injector with New(Spec()), which
-// steers an identical run because injection decisions are drawn from the
-// seeded PRNG only.
-func (i *Injector) Spec() Config { return i.cfg }
-
 // Fingerprint identifies the campaign spec for result caching (it
 // satisfies the runner's Fingerprinter interface): two freshly built
 // injectors with equal fingerprints corrupt identical runs identically,

@@ -55,9 +55,7 @@ var DefaultPackages = []string{
 	"internal/sim",
 	"internal/runner",
 	"internal/service",
-	"internal/fabric",
-	"internal/backoff",
-	"internal/chaostest",
+	"internal/journal",
 }
 
 // wallClock lists the time package functions that read the wall clock.

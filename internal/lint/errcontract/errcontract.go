@@ -43,8 +43,7 @@ var DefaultPackages = []string{
 	"internal/runner",
 	"internal/sim",
 	"internal/trb",
-	"internal/fabric",
-	"internal/backoff",
+	"internal/journal",
 }
 
 // Pass is the errcontract pass, ready for the repolint driver.

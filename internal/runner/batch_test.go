@@ -57,7 +57,7 @@ func campaignJobs(t *testing.T, insns uint64, seeds []uint64) ([]runner.Job, []*
 // differential (the CI batch-smoke gate): a campaign grid over every
 // registered mode, run once through the batch planner and once with
 // NoBatch, must agree outcome for outcome — results, errors, and each
-// lane's injector fault count.
+// lane's injector fault count, which its result's FaultsInjected reports.
 func TestBatchedMatchesScalarGoldenGrid(t *testing.T) {
 	seeds := []uint64{1, 2, 3}
 	bJobs, bInjs := campaignJobs(t, 8_000, seeds)
@@ -74,6 +74,7 @@ func TestBatchedMatchesScalarGoldenGrid(t *testing.T) {
 	if len(batched) != len(bJobs) || len(scalar) != len(sJobs) {
 		t.Fatalf("outcome counts %d/%d, want %d", len(batched), len(scalar), len(bJobs))
 	}
+	var injected uint64
 	for i := range bJobs {
 		if batched[i].Err != nil || scalar[i].Err != nil {
 			t.Errorf("cell %s: errors batched=%v scalar=%v", bJobs[i].Name, batched[i].Err, scalar[i].Err)
@@ -87,6 +88,16 @@ func TestBatchedMatchesScalarGoldenGrid(t *testing.T) {
 			t.Errorf("cell %s: injector fired %d faults batched, %d scalar",
 				bJobs[i].Name, bInjs[i].Injected, sInjs[i].Injected)
 		}
+		if bInjs[i] != nil {
+			injected += bInjs[i].Injected
+			if got := batched[i].Result.Core.FaultsInjected; got != bInjs[i].Injected {
+				t.Errorf("cell %s: FaultsInjected = %d, injector applied %d",
+					bJobs[i].Name, got, bInjs[i].Injected)
+			}
+		}
+	}
+	if injected == 0 {
+		t.Error("the campaign injected no faults; FaultsInjected went unchecked")
 	}
 }
 
@@ -140,6 +151,7 @@ func stuckProgram(t *testing.T) (*program.Program, uint64) {
 // failure must stay confined to that lane — every sibling's outcome must
 // be bit-identical to a solo scalar run of the same cell.
 func TestBatchLaneEarlyExit(t *testing.T) {
+	dieMode, _ := core.DIE.Info()
 	p, ok := workload.ByName("gzip")
 	if !ok {
 		t.Fatal("gzip profile missing")
@@ -148,8 +160,8 @@ func TestBatchLaneEarlyExit(t *testing.T) {
 	mk := func() []runner.Job {
 		opts := sim.Options{Insns: 20_000, Program: prog}
 		jobs := []runner.Job{
-			{Name: "stuck-lane", Config: core.BaseDIE(), Profile: p, Opts: opts},
-			{Name: "clean-lane", Config: core.BaseDIE(), Profile: p, Opts: opts},
+			{Name: "stuck-lane", Config: dieMode.Base(), Profile: p, Opts: opts},
+			{Name: "clean-lane", Config: dieMode.Base(), Profile: p, Opts: opts},
 		}
 		jobs[0].Opts.Injector = &fault.Persistent{Site: fault.FU, PC: pc, Bit: 7}
 		for _, seed := range []uint64{8, 9} {
@@ -157,7 +169,7 @@ func TestBatchLaneEarlyExit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			j := runner.Job{Name: fmt.Sprintf("fu-s%d", seed), Config: core.BaseDIE(), Profile: p, Opts: opts}
+			j := runner.Job{Name: fmt.Sprintf("fu-s%d", seed), Config: dieMode.Base(), Profile: p, Opts: opts}
 			j.Opts.Injector = inj
 			jobs = append(jobs, j)
 		}

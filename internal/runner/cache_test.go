@@ -110,6 +110,7 @@ func TestFingerprintStability(t *testing.T) {
 // is unset — zero-valued knobs serialize to nothing, so every key minted
 // before the knobs existed is still valid.
 func TestFingerprintModeKnobs(t *testing.T) {
+	dieMode, _ := core.DIE.Info()
 	mk := func(mode string, tweak func(*core.Config)) runner.Job {
 		mi, ok := core.ModeByName(mode)
 		if !ok {
@@ -160,7 +161,7 @@ func TestFingerprintModeKnobs(t *testing.T) {
 
 	// Byte-stability: unset knobs must vanish from the canonical payload,
 	// keeping pre-knob configs' keys bit-identical.
-	b, err := json.Marshal(core.BaseDIE())
+	b, err := json.Marshal(dieMode.Base())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -187,16 +187,6 @@ type Options struct {
 	// lane's result, error, progress report and cache entry is
 	// bit-identical to its scalar run's.
 	NoBatch bool
-	// Execute, when non-nil, is the pluggable dispatch seam: each cell
-	// the cache cannot serve is executed by this function instead of the
-	// in-process simulation. The fabric coordinator plugs in here to
-	// ship cells to remote workers while reusing everything above the
-	// seam — cache-before-dispatch, LPT ordering, per-cell error
-	// capture, progress reporting and deterministic outcome order.
-	// Batching and CellTimeout are the dispatcher's concern in this mode
-	// (the local batch planner and per-cell deadline are bypassed); a
-	// panic inside Execute is still captured as a *CellPanicError.
-	Execute func(ctx context.Context, j Job) (sim.Result, error)
 }
 
 // CellPanicError reports that one sweep cell's simulation panicked. The
@@ -291,24 +281,6 @@ func runCell(ctx context.Context, j Job, timeout time.Duration) (sim.Result, err
 	}
 }
 
-// runDispatch executes one cell through the pluggable dispatch seam,
-// converting a panic inside the dispatcher into a *CellPanicError so a
-// buggy Execute hook degrades exactly like a buggy simulation: one
-// failed cell, not a dead sweep.
-func runDispatch(ctx context.Context, j Job, exec func(context.Context, Job) (sim.Result, error)) (res sim.Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &CellPanicError{
-				Bench:  j.Profile.Name,
-				Config: j.Name,
-				Value:  v,
-				Stack:  debug.Stack(),
-			}
-		}
-	}()
-	return exec(ctx, j)
-}
-
 // isCellTimeout reports whether err came from the per-cell deadline rather
 // than a sweep-level cancellation: the cell's context expired while the
 // parent is still live.
@@ -377,7 +349,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
 	// phase-one scalar task.
 	var groups [][]int
 	batched := make([]bool, len(jobs))
-	if !opts.NoBatch && opts.Execute == nil {
+	if !opts.NoBatch {
 		groups = planBatches(jobs, func(i int) bool { return !outs[i].CacheHit })
 		for _, g := range groups {
 			for _, i := range g {
@@ -454,15 +426,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
 	exec := func(t task) {
 		if !t.batch {
 			i := t.lanes[0]
-			var (
-				r   sim.Result
-				err error
-			)
-			if opts.Execute != nil {
-				r, err = runDispatch(ctx, jobs[i], opts.Execute)
-			} else {
-				r, err = runCell(ctx, jobs[i], opts.CellTimeout)
-			}
+			r, err := runCell(ctx, jobs[i], opts.CellTimeout)
 			finish(i, r, err)
 			return
 		}

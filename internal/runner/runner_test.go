@@ -67,8 +67,9 @@ func TestSerialParallelEquivalence(t *testing.T) {
 // fail, every other cell must still run to completion, and the batch
 // error must name the failed cell.
 func TestErrorIsolation(t *testing.T) {
+	sieMode, _ := core.SIE.Info()
 	jobs := testJobs(t, []string{"gzip"}, 8_000)
-	poisoned := core.BaseSIE()
+	poisoned := sieMode.Base()
 	poisoned.RUUSize = 0 // fails core config validation
 	bad := runner.Job{Name: "poisoned", Config: poisoned, Profile: jobs[0].Profile,
 		Opts: sim.Options{Insns: 8_000}}
@@ -102,11 +103,12 @@ func TestErrorIsolation(t *testing.T) {
 // callback: completed cells keep their results, the rest carry the
 // context's error, and Run reports the cancellation.
 func TestCancellationPartialResults(t *testing.T) {
+	dieMode, _ := core.DIE.Info()
 	p, _ := workload.ByName("gzip")
 	var jobs []runner.Job
 	for i := 0; i < 12; i++ {
 		jobs = append(jobs, runner.Job{
-			Name: "DIE", Config: core.BaseDIE(), Profile: p,
+			Name: "DIE", Config: dieMode.Base(), Profile: p,
 			Opts: sim.Options{Insns: 15_000},
 		})
 	}
@@ -178,25 +180,28 @@ func TestProgressReporting(t *testing.T) {
 // modes, wider machines and verified runs must cost more, and a zero
 // instruction budget must price as the default budget.
 func TestCostHeuristic(t *testing.T) {
+	sieMode, _ := core.SIE.Info()
+	dieMode, _ := core.DIE.Info()
+	dieIRBMode, _ := core.DIEIRB.Info()
 	p, _ := workload.ByName("gzip")
 	mk := func(cfg core.Config, opts sim.Options) runner.Job {
 		return runner.Job{Name: "x", Config: cfg, Profile: p, Opts: opts}
 	}
 	o := sim.Options{Insns: 100_000}
-	sie := mk(core.BaseSIE(), o)
-	die := mk(core.BaseDIE(), o)
-	irb := mk(core.BaseDIEIRB(), o)
-	wide := mk(core.BaseDIEIRB().WithDoubledWidths().WithDoubledRUU(), o)
+	sie := mk(sieMode.Base(), o)
+	die := mk(dieMode.Base(), o)
+	irb := mk(dieIRBMode.Base(), o)
+	wide := mk(dieIRBMode.Base().WithDoubledWidths().WithDoubledRUU(), o)
 	if !(sie.Cost() < die.Cost() && die.Cost() < irb.Cost() && irb.Cost() < wide.Cost()) {
 		t.Errorf("cost ordering broken: SIE %.0f, DIE %.0f, DIE-IRB %.0f, wide %.0f",
 			sie.Cost(), die.Cost(), irb.Cost(), wide.Cost())
 	}
-	verified := mk(core.BaseSIE(), sim.Options{Insns: 100_000, Verify: true})
+	verified := mk(sieMode.Base(), sim.Options{Insns: 100_000, Verify: true})
 	if verified.Cost() <= sie.Cost() {
 		t.Error("verification did not raise the cost estimate")
 	}
-	defaulted := mk(core.BaseSIE(), sim.Options{})
-	explicit := mk(core.BaseSIE(), sim.Options{Insns: sim.DefaultInsns})
+	defaulted := mk(sieMode.Base(), sim.Options{})
+	explicit := mk(sieMode.Base(), sim.Options{Insns: sim.DefaultInsns})
 	if defaulted.Cost() != explicit.Cost() {
 		t.Errorf("zero budget cost %.0f != default budget cost %.0f",
 			defaulted.Cost(), explicit.Cost())

@@ -10,9 +10,7 @@ package api
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // RunRequest is the body of POST /v1/runs: a (configs × benchmarks) grid
@@ -119,114 +117,6 @@ type ModesResponse struct {
 type Error struct {
 	Error      string   `json:"error"`
 	ValidModes []string `json:"valid_modes,omitempty"`
-}
-
-// --- fabric wire types ------------------------------------------------
-//
-// The coordinator/worker tier speaks these shapes on POST /v1/lease,
-// POST /v1/heartbeat and POST /v1/complete. A Cell carries everything a
-// worker needs to rebuild the runner.Job locally — simulation is
-// deterministic in these fields (they are exactly what Job.Fingerprint
-// hashes), so a cell executed on any worker, or re-executed after a lease
-// expiry, produces a bit-identical result.
-
-// Cell is one grid cell shipped from the coordinator to a worker.
-type Cell struct {
-	// ID is the coordinator-assigned cell identity, echoed back in the
-	// completion so late results (after a lease expiry) still find their
-	// cell.
-	ID uint64 `json:"id"`
-	// Fingerprint is the cell's content-addressed cache key
-	// (runner.Job.Fingerprint); the coordinator shards on it and the
-	// worker probes its local cache with the rebuilt job before
-	// simulating.
-	Fingerprint string `json:"fingerprint,omitempty"`
-	// Name is the configuration display name (runner.Job.Name).
-	Name string `json:"name"`
-	// Config is the full machine configuration.
-	Config core.Config `json:"config"`
-	// Profile is the workload profile.
-	Profile workload.Profile `json:"profile"`
-	// Run options (the sim.Options subset that crosses the wire; programs
-	// and traces never do — workers capture their own traces).
-	Insns       uint64     `json:"insns,omitempty"`
-	FastForward uint64     `json:"fast_forward,omitempty"`
-	Seed        uint64     `json:"seed,omitempty"`
-	Verify      bool       `json:"verify,omitempty"`
-	Fault       *FaultSpec `json:"fault,omitempty"`
-}
-
-// LeaseRequest is the body of POST /v1/lease: a worker asking the
-// coordinator for a batch of cells.
-type LeaseRequest struct {
-	// Worker is the caller's stable identity (also the consistent-hash
-	// ring key its cache affinity is computed from).
-	Worker string `json:"worker"`
-	// Max caps the cells returned (0 = the coordinator's default batch).
-	Max int `json:"max,omitempty"`
-}
-
-// Lease is one granted cell lease.
-type Lease struct {
-	ID   string `json:"id"`
-	Cell Cell   `json:"cell"`
-}
-
-// LeaseResponse is the body of a successful POST /v1/lease.
-type LeaseResponse struct {
-	Leases []Lease `json:"leases"`
-	// TTLMillis is how long each lease lives without a heartbeat.
-	TTLMillis int64 `json:"ttl_ms"`
-	// HeartbeatMillis is the renewal cadence the worker must hold while
-	// it owns leases.
-	HeartbeatMillis int64 `json:"heartbeat_ms"`
-	// PollMillis is the suggested wait before the next lease request when
-	// no cells were granted.
-	PollMillis int64 `json:"poll_ms"`
-}
-
-// HeartbeatRequest is the body of POST /v1/heartbeat: it renews every
-// lease the worker holds.
-type HeartbeatRequest struct {
-	Worker string `json:"worker"`
-}
-
-// HeartbeatResponse reports whether the coordinator still knows the
-// worker. Known=false after a coordinator restart or a dead-worker
-// expiry: the worker's leases are gone and any in-flight work will be
-// deduplicated on completion.
-type HeartbeatResponse struct {
-	Known bool `json:"known"`
-}
-
-// CellCompletion is one finished cell in a POST /v1/complete body.
-type CellCompletion struct {
-	LeaseID string `json:"lease_id"`
-	// CellID identifies the cell independently of the lease, so a
-	// completion arriving after the lease expired is still matched and
-	// deduplicated instead of lost.
-	CellID uint64      `json:"cell_id"`
-	Result *sim.Result `json:"result,omitempty"`
-	Error  string      `json:"error,omitempty"`
-	// CacheHit reports the worker served the cell from its local
-	// content-addressed cache.
-	CacheHit bool `json:"cache_hit,omitempty"`
-}
-
-// CompleteRequest is the body of POST /v1/complete.
-type CompleteRequest struct {
-	Worker string           `json:"worker"`
-	Cells  []CellCompletion `json:"cells"`
-}
-
-// CompleteResponse acknowledges a completion batch.
-type CompleteResponse struct {
-	// Accepted counts completions that settled a live cell.
-	Accepted int `json:"accepted"`
-	// Duplicates counts completions for cells that had already been
-	// settled by a retry elsewhere (verified bit-identical, then
-	// discarded).
-	Duplicates int `json:"duplicates"`
 }
 
 // CellEvent is one server-sent event on GET /v1/runs/{id}/events: a cell

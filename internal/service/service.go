@@ -31,7 +31,7 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/experiments"
-	"repro/internal/fabric"
+	"repro/internal/journal"
 	"repro/internal/runner"
 	"repro/internal/service/api"
 	"repro/internal/sim"
@@ -68,15 +68,10 @@ type Config struct {
 	CellTimeout time.Duration
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// Coordinator, when non-nil, turns the daemon into the fabric
-	// coordinator: grid cells dispatch to the worker fleet through the
-	// runner's Execute seam, and the lease protocol endpoints
-	// (POST /v1/lease, /v1/heartbeat, /v1/complete) are mounted.
-	Coordinator *fabric.Coordinator
 	// Journal, when non-nil, is the crash-safe run WAL: accepted runs,
 	// completed cells and cache inserts are journaled as they happen, and
 	// RecoverJournal resumes from them at boot.
-	Journal *fabric.Journal
+	Journal *journal.Journal
 	// Seed seeds the daemon's jitter PRNG (Retry-After spreading); 0
 	// selects 1. Operational only — simulation results never see it.
 	Seed uint64
@@ -162,11 +157,6 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /v1/runs", s.instrument("GET /v1/runs", s.handleListRuns))
 	mux.Handle("GET /v1/runs/{id}", s.instrument("GET /v1/runs/{id}", s.handleGetRun))
 	mux.Handle("GET /v1/runs/{id}/events", s.instrument("GET /v1/runs/{id}/events", s.handleRunEvents))
-	if s.cfg.Coordinator != nil {
-		mux.Handle("POST /v1/lease", s.instrument("POST /v1/lease", s.handleLease))
-		mux.Handle("POST /v1/heartbeat", s.instrument("POST /v1/heartbeat", s.handleHeartbeat))
-		mux.Handle("POST /v1/complete", s.instrument("POST /v1/complete", s.handleComplete))
-	}
 	mux.Handle("GET /v1/experiments", s.instrument("GET /v1/experiments", s.handleListExperiments))
 	mux.Handle("GET /v1/experiments/{name}", s.instrument("GET /v1/experiments/{name}", s.handleExperiment))
 	mux.Handle("GET /v1/configs", s.instrument("GET /v1/configs", s.handleConfigs))
@@ -233,8 +223,8 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 
 	// Admission: the queue-depth token is non-blocking — a full queue
 	// answers 429 immediately so clients back off instead of piling up.
-	// The Retry-After is jittered by the shared backoff helper so a burst
-	// of rejected clients does not come back in the same second.
+	// The Retry-After is jittered so a burst of rejected clients does not
+	// come back in the same second.
 	select {
 	case s.admit <- struct{}{}:
 	default:
@@ -246,8 +236,8 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 
 	run := s.newRun(len(jobs))
 	s.openStream(run.ID)
-	s.journalAppend(fabric.Record{
-		Type: fabric.RecRun, RunID: run.ID, Req: &req,
+	s.journalAppend(journal.Record{
+		Type: journal.RecRun, RunID: run.ID, Req: &req,
 		Cells: len(jobs), Created: run.Created,
 	})
 	// Wait for a run slot, racing the client: a disconnect while queued
@@ -257,7 +247,7 @@ func (s *Server) handlePostRuns(w http.ResponseWriter, r *http.Request) {
 	case <-r.Context().Done():
 		s.finishRun(run.ID, StatusCancelled, nil, 0, "client disconnected while queued")
 		s.met.observeRun(StatusCancelled, 0, 0, 0)
-		s.journalAppend(fabric.Record{Type: fabric.RecFinish, RunID: run.ID,
+		s.journalAppend(journal.Record{Type: journal.RecFinish, RunID: run.ID,
 			Status: StatusCancelled, Err: "client disconnected while queued"})
 		s.dropStream(run.ID)
 		return
@@ -317,7 +307,7 @@ func (s *Server) performRun(ctx context.Context, runID string, jobs []runner.Job
 	}
 	s.finishRun(runID, status, results, hitCells, errMsg)
 	s.met.observeRun(status, simCells, hitCells, now().Sub(start))
-	s.journalAppend(fabric.Record{Type: fabric.RecFinish, RunID: runID, Status: status, Err: errMsg})
+	s.journalAppend(journal.Record{Type: journal.RecFinish, RunID: runID, Status: status, Err: errMsg})
 	s.publishEvent(runID, api.CellEvent{Index: -1, Done: true, Status: status})
 	return status
 }
@@ -326,24 +316,14 @@ func (s *Server) performRun(ctx context.Context, runID string, jobs []runner.Job
 // already serve — a cache hit never needs a functional trace, so
 // capturing one for it would waste exactly the work the cache exists to
 // skip — then hands the grid to the runner with the server's cache
-// attached. With a coordinator configured the cells dispatch to the
-// worker fleet through the runner's Execute seam instead (workers
-// capture their own traces), with one waiter per cell so the whole grid
-// can be in flight at once. runID/keys attach the journal and event
-// stream hooks; a caller with no run record passes "" and nil.
+// attached. Each finished cell is journaled and published to the run's
+// event stream as it lands.
 func (s *Server) executeGrid(ctx context.Context, jobs []runner.Job, runID string, keys []string) ([]runner.Outcome, error) {
 	opts := runner.Options{
 		Parallelism: s.cfg.Parallelism,
 		CellTimeout: s.cfg.CellTimeout,
 		Cache:       s.runnerCache(),
-	}
-	if runID != "" {
-		opts.Progress = s.cellProgress(runID, keys)
-	}
-	if s.cfg.Coordinator != nil {
-		opts.Execute = s.cfg.Coordinator.Execute
-		opts.Parallelism = len(jobs)
-		return runnerRun(ctx, jobs, opts)
+		Progress:    s.cellProgress(runID, keys),
 	}
 	missing := make([]int, 0, len(jobs))
 	for i := range jobs {
@@ -499,12 +479,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// len(admit) is the queue-depth gauge: tokens currently held by
 	// admitted, unfinished requests.
 	s.met.render(w, len(s.admit), s.cache.stats())
-	if c := s.cfg.Coordinator; c != nil {
-		renderFabricMetrics(w, c.Metrics())
-	}
 	if s.cfg.Journal != nil {
 		renderJournalMetrics(w, s.replay.Load(), s.journalErrs.Load())
 	}
+}
+
+// retryAfter renders a jittered Retry-After header value: base scaled by
+// a uniform draw in [0.75, 1.25) from the server's seeded generator,
+// rounded up to whole seconds and at least 1. A burst of clients all told
+// a bare "1" would come back in the same second and collide again.
+func (s *Server) retryAfter(base time.Duration) string {
+	s.rngMu.Lock()
+	d := time.Duration(float64(base) * (0.75 + 0.5*s.rng.Float64()))
+	s.rngMu.Unlock()
+	secs := int64((d + time.Second - 1) / time.Second)
+	return strconv.FormatInt(max(secs, 1), 10)
 }
 
 // --- run records -----------------------------------------------------

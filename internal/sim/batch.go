@@ -103,7 +103,7 @@ func RunBatchContext(ctx context.Context, name string, cfg core.Config, p worklo
 			ErrProgramTooShort, p.Name, name, c.Stats.Committed, opts.Insns)
 	}
 
-	leader := harvest(c, p.Name, name, cfg.Mode)
+	leader := harvest(c, p.Name, name, cfg.Mode, nil)
 	outs := make([]BatchOutcome, len(lanes))
 	for i := range lanes {
 		if seq, div := bs.Diverged(i); div {

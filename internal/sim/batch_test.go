@@ -30,13 +30,14 @@ func (rawInjector) AfterIRBInsert(pc uint64, b *irb.IRB)                        
 // injector is exactly a scalar run — the leader's probing layer must be
 // invisible in every statistic.
 func TestBatchFaultFreeLaneMatchesScalar(t *testing.T) {
+	dieIRBMode, _ := core.DIEIRB.Info()
 	p := gzipProfile(t)
 	opts := Options{Insns: 12_000, Verify: true}
-	want, err := Run("DIE-IRB", core.BaseDIEIRB(), p, opts)
+	want, err := Run("DIE-IRB", dieIRBMode.Base(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := RunBatchContext(nil, "DIE-IRB", core.BaseDIEIRB(), p, opts, []BatchLane{{Name: "DIE-IRB"}})
+	outs, err := RunBatchContext(nil, "DIE-IRB", dieIRBMode.Base(), p, opts, []BatchLane{{Name: "DIE-IRB"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +149,7 @@ func TestBatchLaneBitIdentityAllModes(t *testing.T) {
 // fault-free lane keeps the leader useful, the run ends early with every
 // outcome flagged diverged — not an error, since each lane re-runs scalar.
 func TestBatchDrainedAllLanesDiverge(t *testing.T) {
+	dieMode, _ := core.DIE.Info()
 	p := gzipProfile(t)
 	var lanes []BatchLane
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -157,7 +159,7 @@ func TestBatchDrainedAllLanesDiverge(t *testing.T) {
 		}
 		lanes = append(lanes, BatchLane{Name: fmt.Sprintf("s%d", seed), Injector: inj})
 	}
-	outs, err := RunBatchContext(nil, "DIE", core.BaseDIE(), p, Options{Insns: 30_000}, lanes)
+	outs, err := RunBatchContext(nil, "DIE", dieMode.Base(), p, Options{Insns: 30_000}, lanes)
 	if err != nil {
 		t.Fatalf("drained batch returned an error: %v", err)
 	}
@@ -171,21 +173,22 @@ func TestBatchDrainedAllLanesDiverge(t *testing.T) {
 // TestRunBatchMisuse: the batch entry point rejects malformed lane sets
 // with ErrBatchMisuse rather than producing a half-configured run.
 func TestRunBatchMisuse(t *testing.T) {
+	dieMode, _ := core.DIE.Info()
 	p := gzipProfile(t)
 	inj, err := fault.New(fault.Config{Site: fault.FU, Rate: 1e-3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunBatchContext(nil, "DIE", core.BaseDIE(), p,
+	_, err = RunBatchContext(nil, "DIE", dieMode.Base(), p,
 		Options{Insns: 1_000, Injector: inj}, []BatchLane{{Name: "x"}})
 	if !errors.Is(err, ErrBatchMisuse) {
 		t.Errorf("Options.Injector on a batch run: err = %v, want ErrBatchMisuse", err)
 	}
-	_, err = RunBatchContext(nil, "DIE", core.BaseDIE(), p, Options{Insns: 1_000}, nil)
+	_, err = RunBatchContext(nil, "DIE", dieMode.Base(), p, Options{Insns: 1_000}, nil)
 	if !errors.Is(err, ErrBatchMisuse) {
 		t.Errorf("zero lanes: err = %v, want ErrBatchMisuse", err)
 	}
-	_, err = RunBatchContext(nil, "DIE", core.BaseDIE(), p, Options{Insns: 1_000},
+	_, err = RunBatchContext(nil, "DIE", dieMode.Base(), p, Options{Insns: 1_000},
 		[]BatchLane{{Name: "raw", Injector: rawInjector{}}})
 	if err == nil {
 		t.Error("non-batchable injector lane accepted")

@@ -16,13 +16,14 @@ import (
 // TestRunContextMatchesRun pins Run as a pure wrapper: same inputs, same
 // Result, field for field.
 func TestRunContextMatchesRun(t *testing.T) {
+	dieIRBMode, _ := core.DIEIRB.Info()
 	p := gzipProfile(t)
 	opts := Options{Insns: 20_000, Verify: true}
-	a, err := Run("DIE-IRB", core.BaseDIEIRB(), p, opts)
+	a, err := Run("DIE-IRB", dieIRBMode.Base(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunContext(context.Background(), "DIE-IRB", core.BaseDIEIRB(), p, opts)
+	b, err := RunContext(context.Background(), "DIE-IRB", dieIRBMode.Base(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +35,11 @@ func TestRunContextMatchesRun(t *testing.T) {
 // TestRunContextPreCancelled returns the context error before any
 // simulation work.
 func TestRunContextPreCancelled(t *testing.T) {
+	sieMode, _ := core.SIE.Info()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := RunContext(ctx, "SIE", core.BaseSIE(), gzipProfile(t), Options{Insns: 1_000_000})
+	_, err := RunContext(ctx, "SIE", sieMode.Base(), gzipProfile(t), Options{Insns: 1_000_000})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -50,6 +52,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 // budget, cancels it shortly after, and requires a prompt return with
 // the context's error.
 func TestRunContextCancelMidRun(t *testing.T) {
+	sieMode, _ := core.SIE.Info()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
@@ -57,7 +60,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := RunContext(ctx, "SIE", core.BaseSIE(), gzipProfile(t), Options{Insns: 200_000_000})
+	_, err := RunContext(ctx, "SIE", sieMode.Base(), gzipProfile(t), Options{Insns: 200_000_000})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -72,23 +75,25 @@ func TestRunContextCancelMidRun(t *testing.T) {
 // to the default, a fixed nonzero seed is reproducible, and different
 // seeds generate genuinely different programs.
 func TestSeedOption(t *testing.T) {
+	sieMode, _ := core.SIE.Info()
+	dieMode, _ := core.DIE.Info()
 	p := gzipProfile(t)
-	base, err := Run("SIE", core.BaseSIE(), p, Options{Insns: 20_000})
+	base, err := Run("SIE", sieMode.Base(), p, Options{Insns: 20_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := Run("SIE", core.BaseSIE(), p, Options{Insns: 20_000, Seed: 0})
+	zero, err := Run("SIE", sieMode.Base(), p, Options{Insns: 20_000, Seed: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(base, zero) {
 		t.Error("Seed: 0 changed the run")
 	}
-	s1, err := Run("SIE", core.BaseSIE(), p, Options{Insns: 20_000, Seed: 12345})
+	s1, err := Run("SIE", sieMode.Base(), p, Options{Insns: 20_000, Seed: 12345})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1again, err := Run("SIE", core.BaseSIE(), p, Options{Insns: 20_000, Seed: 12345})
+	s1again, err := Run("SIE", sieMode.Base(), p, Options{Insns: 20_000, Seed: 12345})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +105,7 @@ func TestSeedOption(t *testing.T) {
 	}
 	// A reseeded workload must still pass verification: the oracle sees
 	// the same perturbed program.
-	if _, err := Run("DIE", core.BaseDIE(), p, Options{Insns: 20_000, Seed: 99, Verify: true}); err != nil {
+	if _, err := Run("DIE", dieMode.Base(), p, Options{Insns: 20_000, Seed: 99, Verify: true}); err != nil {
 		t.Errorf("verified run with seed failed: %v", err)
 	}
 }

@@ -12,7 +12,8 @@ import (
 // oracle verification enabled.
 func ExampleRun() {
 	profile, _ := workload.ByName("bzip2")
-	r, err := sim.Run("DIE-IRB", core.BaseDIEIRB(), profile, sim.Options{
+	dieIRBMode, _ := core.DIEIRB.Info() // the mode registry's descriptor
+	r, err := sim.Run("DIE-IRB", dieIRBMode.Base(), profile, sim.Options{
 		Insns:  50_000,
 		Verify: true,
 	})

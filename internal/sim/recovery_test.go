@@ -15,12 +15,13 @@ import (
 // bar, replacing the old behaviour where detections merely stalled commit
 // and forged agreement.
 func TestFaultRunCompletesVerified(t *testing.T) {
+	dieMode, _ := core.DIE.Info()
 	p := gzipProfile(t)
 	inj, err := fault.New(fault.Config{Site: fault.FU, Rate: 1e-3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run("DIE", core.BaseDIE(), p, Options{Insns: 50_000, Verify: true, Injector: inj})
+	r, err := Run("DIE", dieMode.Base(), p, Options{Insns: 50_000, Verify: true, Injector: inj})
 	if err != nil {
 		t.Fatalf("verified faulty run failed: %v", err)
 	}
@@ -43,6 +44,7 @@ func TestFaultRunCompletesVerified(t *testing.T) {
 // RunContext as a *core.UnrecoverableFaultError labelled with the cell's
 // benchmark and configuration names.
 func TestUnrecoverableFaultSurfaced(t *testing.T) {
+	dieMode, _ := core.DIE.Info()
 	b := program.NewBuilder("stuck")
 	b.LoadConst(1, 1_000_000)
 	b.LoadConst(2, 0)
@@ -62,7 +64,7 @@ func TestUnrecoverableFaultSurfaced(t *testing.T) {
 	}
 
 	inj := &fault.Persistent{Site: fault.FU, PC: pc, Bit: 7}
-	_, err := Run("DIE", core.BaseDIE(), gzipProfile(t), Options{
+	_, err := Run("DIE", dieMode.Base(), gzipProfile(t), Options{
 		Insns:    50_000,
 		Program:  prog,
 		Injector: inj,

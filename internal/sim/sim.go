@@ -262,7 +262,7 @@ func RunContext(ctx context.Context, name string, cfg core.Config, p workload.Pr
 		return Result{}, fmt.Errorf("%w: %s on %s committed only %d/%d instructions",
 			ErrProgramTooShort, p.Name, name, c.Stats.Committed, opts.Insns)
 	}
-	return harvest(c, p.Name, name, cfg.Mode), nil
+	return harvest(c, p.Name, name, cfg.Mode, opts.Injector), nil
 }
 
 // prepareRun performs everything that precedes the cycle loop, shared by
@@ -361,8 +361,11 @@ func mapRunErr(err error, ctx context.Context, bench, config string) error {
 	return fmt.Errorf("sim: %s on %s: %w", bench, config, err)
 }
 
-// harvest copies a finished core's statistics into a Result.
-func harvest(c *core.Core, bench, config string, mode core.Mode) Result {
+// harvest copies a finished core's statistics into a Result. inj is the
+// injector the run installed, the one authority on how many faults it
+// applied; a batch leader passes nil, since a lane served the leader's
+// result is one whose injector never fired.
+func harvest(c *core.Core, bench, config string, mode core.Mode, inj core.FaultInjector) Result {
 	res := Result{
 		Bench:  bench,
 		Config: config,
@@ -374,6 +377,9 @@ func harvest(c *core.Core, bench, config string, mode core.Mode) Result {
 	res.L1I = c.Mem().L1I.Stats
 	res.L1D = c.Mem().L1D.Stats
 	res.L2 = c.Mem().L2.Stats
+	if ic, ok := inj.(interface{ InjectedCount() uint64 }); ok {
+		res.Core.FaultsInjected = ic.InjectedCount()
+	}
 	if b := c.IRB(); b != nil {
 		st := b.Stats
 		res.IRB = &st
@@ -477,9 +483,11 @@ func FrontierConfigs() []NamedConfig {
 // motivation experiment (plus the SIE baseline first): DIE with each
 // combination of doubled ALUs, doubled RUU/LSQ and doubled widths.
 func Fig2Configs() []NamedConfig {
-	die := core.BaseDIE()
+	sie, _ := core.SIE.Info()
+	dieMode, _ := core.DIE.Info()
+	die := dieMode.Base()
 	return []NamedConfig{
-		{"SIE", core.BaseSIE()},
+		{"SIE", sie.Base()},
 		{"DIE", die},
 		{"DIE-2xALU", die.WithDoubledALUs()},
 		{"DIE-2xRUU", die.WithDoubledRUU()},
@@ -495,19 +503,23 @@ func Fig2Configs() []NamedConfig {
 // SIE bound, the DIE floor, the proposed DIE-IRB, and the idealized
 // DIE-2xALU that DIE-IRB approximates without issue-logic growth.
 func HeadlineConfigs() []NamedConfig {
+	sie, _ := core.SIE.Info()
+	die, _ := core.DIE.Info()
+	dieIRB, _ := core.DIEIRB.Info()
 	return []NamedConfig{
-		{"SIE", core.BaseSIE()},
-		{"DIE", core.BaseDIE()},
-		{"DIE-IRB", core.BaseDIEIRB()},
-		{"DIE-2xALU", core.BaseDIE().WithDoubledALUs()},
+		{"SIE", sie.Base()},
+		{"DIE", die.Base()},
+		{"DIE-IRB", dieIRB.Base()},
+		{"DIE-2xALU", die.Base().WithDoubledALUs()},
 	}
 }
 
 // IRBSizeConfigs returns DIE-IRB with the given IRB entry counts.
 func IRBSizeConfigs(sizes []int) []NamedConfig {
+	dieIRB, _ := core.DIEIRB.Info()
 	out := make([]NamedConfig, 0, len(sizes))
 	for _, n := range sizes {
-		cfg := core.BaseDIEIRB()
+		cfg := dieIRB.Base()
 		cfg.IRB.Entries = n
 		out = append(out, NamedConfig{fmt.Sprintf("DIE-IRB-%d", n), cfg})
 	}
@@ -518,8 +530,9 @@ func IRBSizeConfigs(sizes []int) []NamedConfig {
 // direct-mapped baseline, the victim-buffer extension, and 2/4-way
 // set-associative variants at equal capacity.
 func ConflictConfigs() []NamedConfig {
+	dieIRB, _ := core.DIEIRB.Info()
 	mk := func(name string, assoc, victim int) NamedConfig {
-		cfg := core.BaseDIEIRB()
+		cfg := dieIRB.Base()
 		cfg.IRB.Assoc = assoc
 		cfg.IRB.VictimEntries = victim
 		return NamedConfig{name, cfg}
@@ -536,9 +549,10 @@ func ConflictConfigs() []NamedConfig {
 // PortConfigs returns DIE-IRB with varying read-port provisioning (write
 // ports scale at half the reads, as in the paper's 4R/2W/2RW split).
 func PortConfigs(reads []int) []NamedConfig {
+	dieIRB, _ := core.DIEIRB.Info()
 	out := make([]NamedConfig, 0, len(reads))
 	for _, r := range reads {
-		cfg := core.BaseDIEIRB()
+		cfg := dieIRB.Base()
 		cfg.IRB.ReadPorts = r
 		cfg.IRB.WritePorts = (r + 1) / 2
 		cfg.IRB.RWPorts = r / 2
@@ -551,8 +565,9 @@ func PortConfigs(reads []int) []NamedConfig {
 // data-capture scheduler with the value-based reuse test, the decoupled
 // (non-data-capture) scheduler, and the name-based reuse test on both.
 func SchedulerConfigs() []NamedConfig {
+	dieIRB, _ := core.DIEIRB.Info()
 	mk := func(name string, sched core.SchedulerKind, nameBased bool) NamedConfig {
-		cfg := core.BaseDIEIRB()
+		cfg := dieIRB.Base()
 		cfg.Scheduler = sched
 		cfg.IRBNameBased = nameBased
 		return NamedConfig{name, cfg}
@@ -569,13 +584,16 @@ func SchedulerConfigs() []NamedConfig {
 // paper's Section 3 discussion: the shared-resource DIE, the resource-
 // replicating clustered DIE, and the proposed DIE-IRB.
 func ClusterConfigs() []NamedConfig {
-	clu := core.BaseDIE()
+	sie, _ := core.SIE.Info()
+	die, _ := core.DIE.Info()
+	dieIRB, _ := core.DIEIRB.Info()
+	clu := die.Base()
 	clu.Clustered = true
 	return []NamedConfig{
-		{"SIE", core.BaseSIE()},
-		{"DIE", core.BaseDIE()},
+		{"SIE", sie.Base()},
+		{"DIE", die.Base()},
 		{"DIE-cluster", clu},
-		{"DIE-IRB", core.BaseDIEIRB()},
+		{"DIE-IRB", dieIRB.Base()},
 	}
 }
 
@@ -584,14 +602,16 @@ func ClusterConfigs() []NamedConfig {
 // and SIE-IRB with Sn+d-style dependence chaining (the "collapse true
 // dependencies" capability instruction reuse was first proposed for).
 func ReuseSourceConfigs() []NamedConfig {
-	sq := core.BaseDIEIRB()
+	dieIRB, _ := core.DIEIRB.Info()
+	sieMode, _ := core.SIE.Info()
+	sq := dieIRB.Base()
 	sq.IRBSquashReuse = true
-	sie := core.BaseSIE()
+	sie := sieMode.Base()
 	sie.Mode = core.SIEIRB
 	chain := sie
 	chain.IRBChaining = true
 	return []NamedConfig{
-		{"DIE-IRB", core.BaseDIEIRB()},
+		{"DIE-IRB", dieIRB.Base()},
 		{"DIE-IRB+squash", sq},
 		{"SIE-IRB", sie},
 		{"SIE-IRB+chain", chain},

@@ -60,15 +60,17 @@ func TestEqualInstructionBudgets(t *testing.T) {
 }
 
 func TestIRBStatsPresentOnlyWithIRB(t *testing.T) {
+	sieMode, _ := core.SIE.Info()
+	dieIRBMode, _ := core.DIEIRB.Info()
 	p := gzipProfile(t)
-	rs, err := Run("SIE", core.BaseSIE(), p, Options{Insns: 20_000})
+	rs, err := Run("SIE", sieMode.Base(), p, Options{Insns: 20_000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rs.IRB != nil {
 		t.Error("SIE result has IRB stats")
 	}
-	ri, err := Run("DIE-IRB", core.BaseDIEIRB(), p, Options{Insns: 20_000})
+	ri, err := Run("DIE-IRB", dieIRBMode.Base(), p, Options{Insns: 20_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +83,13 @@ func TestIRBStatsPresentOnlyWithIRB(t *testing.T) {
 }
 
 func TestRunWithInjector(t *testing.T) {
+	dieMode, _ := core.DIE.Info()
 	p := gzipProfile(t)
 	inj, err := fault.New(fault.Config{Site: fault.FU, Rate: 1e-3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run("DIE", core.BaseDIE(), p, Options{Insns: 50_000, Injector: inj})
+	r, err := Run("DIE", dieMode.Base(), p, Options{Insns: 50_000, Injector: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +118,8 @@ func TestFig2ConfigNames(t *testing.T) {
 		}
 	}
 	// The doubled variants must actually double the base quantities.
-	base := core.BaseDIE()
+	dieMode, _ := core.DIE.Info()
+	base := dieMode.Base()
 	twoALU := cfgs[2].Cfg
 	if twoALU.RUUSize != base.RUUSize {
 		t.Error("2xALU changed RUU size")
@@ -147,19 +151,21 @@ func TestSweepConfigGenerators(t *testing.T) {
 }
 
 func TestUnknownBenchmarkError(t *testing.T) {
+	sieMode, _ := core.SIE.Info()
 	bad := workload.Profile{} // invalid: fails generation
-	if _, err := Run("SIE", core.BaseSIE(), bad, Options{Insns: 1000}); err == nil {
+	if _, err := Run("SIE", sieMode.Base(), bad, Options{Insns: 1000}); err == nil {
 		t.Error("invalid profile accepted")
 	}
 }
 
 func TestFastForwardSkipsWarmup(t *testing.T) {
+	sieMode, _ := core.SIE.Info()
 	p := gzipProfile(t)
-	plain, err := Run("SIE", core.BaseSIE(), p, Options{Insns: 30_000, Verify: true})
+	plain, err := Run("SIE", sieMode.Base(), p, Options{Insns: 30_000, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ffwd, err := Run("SIE", core.BaseSIE(), p, Options{Insns: 30_000, Verify: true, FastForward: 50_000})
+	ffwd, err := Run("SIE", sieMode.Base(), p, Options{Insns: 30_000, Verify: true, FastForward: 50_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,13 +180,14 @@ func TestFastForwardSkipsWarmup(t *testing.T) {
 }
 
 func TestFastForwardDeterministic(t *testing.T) {
+	sieMode, _ := core.SIE.Info()
 	p := gzipProfile(t)
 	opts := Options{Insns: 20_000, FastForward: 30_000}
-	a, err := Run("SIE", core.BaseSIE(), p, opts)
+	a, err := Run("SIE", sieMode.Base(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run("SIE", core.BaseSIE(), p, opts)
+	b, err := Run("SIE", sieMode.Base(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,6 +197,7 @@ func TestFastForwardDeterministic(t *testing.T) {
 }
 
 func TestPreflightRejectsBrokenProgram(t *testing.T) {
+	dieIRBMode, _ := core.DIEIRB.Info()
 	// r2 is read but never written: the analysis preflight must reject
 	// the program with a structured diagnostic before cycle 0 — no panic.
 	b := program.NewBuilder("broken")
@@ -199,7 +207,7 @@ func TestPreflightRejectsBrokenProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run("DIE-IRB", core.BaseDIEIRB(), workload.Profile{}, Options{
+	_, err = Run("DIE-IRB", dieIRBMode.Base(), workload.Profile{}, Options{
 		Insns: 10_000, Program: prog,
 	})
 	if err == nil {
@@ -218,10 +226,11 @@ func TestPreflightRejectsBrokenProgram(t *testing.T) {
 }
 
 func TestRunProgramOverride(t *testing.T) {
+	dieIRBMode, _ := core.DIEIRB.Info()
 	// A hand-written kernel runs verified through the full timing core; it
 	// halts well before the budget, which Program mode permits.
 	prog, _ := workload.KernelHistogram(512)
-	r, err := Run("DIE-IRB", core.BaseDIEIRB(), workload.Profile{}, Options{
+	r, err := Run("DIE-IRB", dieIRBMode.Base(), workload.Profile{}, Options{
 		Insns: 200_000, Verify: true, Program: prog,
 	})
 	if err != nil {
