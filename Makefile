@@ -21,10 +21,15 @@ race:
 vet:
 	$(GO) vet ./...
 
-# go vet, then the repository invariant suite (internal/lint/...: nopanic,
-# determinism, modedispatch, hotalloc, errcontract) and the static workload
-# analyzer over every benchmark and kernel; each exits nonzero on findings.
+# gofmt over every Go file outside the hidden directories (.bench_build
+# holds the benchmark's build cache), failing with the list of unformatted
+# files; go vet; then the repository invariant suite (internal/lint/...:
+# nopanic, determinism, modedispatch, hotalloc, errcontract) and the static
+# workload analyzer over every benchmark and kernel; each exits nonzero on
+# findings.
 lint:
+	@unformatted=$$(gofmt -l $$(find . -path './.*' -prune -o -name '*.go' -print)); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/repolint
 	$(GO) run ./cmd/irblint

@@ -54,13 +54,13 @@ type fetchEntry struct {
 const uopChunk = 128
 
 // scratch is the recyclable allocation-heavy state of a core: the uop
-// arena's free list and the event-heap and ready-list backing arrays.
+// arena's free list and the event-heap and ready-set backing arrays.
 // Cores draw one from a package pool at construction and Release returns
 // it when the run ends, so a grid's many sequential cells reuse the same
 // uop slots and consumers arrays instead of re-warming fresh ones.
 type scratch struct {
 	events eventQueue
-	ready  []*uop
+	ready  readySet
 	free   []*uop
 }
 
@@ -112,13 +112,25 @@ type Core struct {
 	freeUops []*uop
 	freeFn   func(*uop) // c.freeUop, bound once (method values allocate)
 
-	// ready is the issue window's selectable set: the uWaiting uops
-	// whose producers have all completed (waitCount == 0), in age (seq)
-	// order. A uop enters when its last operand is woken — at dispatch
-	// or in completeUop (see makeReady) — and leaves when it issues or
-	// completes by reuse, so selectIssue never looks at a uop that is
-	// still waiting on a producer.
-	ready []*uop
+	// ready is the issue window's selectable set (see ready.go): the
+	// uWaiting uops whose producers have all completed. A uop enters
+	// when its last operand is woken — at dispatch or in completeUop
+	// (see makeReady) — and leaves when it issues or completes by
+	// reuse, so selectIssue never looks at a uop that is still waiting
+	// on a producer.
+	ready readySet
+	// selDelay is the scheduler's wakeup-to-select delay: the decoupled
+	// (non-data-capture) scheduler pipelines wakeup and selection, so a
+	// uop woken in cycle t is selectable in t+1, after its register file
+	// read (Section 3.3).
+	selDelay uint64
+
+	// acted records whether the current cycle changed any machine state
+	// other than the per-cycle stall counters (see stallCounters); Run
+	// skips the cycles after one that did not (see skipQuiet), and
+	// skipped counts the cycles it jumped over.
+	acted   bool
+	skipped uint64
 
 	// regVer counts architected-register writes entering the pipeline,
 	// for the name-based reuse test. Wrong-path bumps are never undone:
@@ -206,6 +218,9 @@ func NewAt(cfg Config, m *fsim.Machine) (*Core, error) {
 		fq:            newFetchQueue(cfg.FetchQueue),
 	}
 	c.dupBuf = make([]*uop, c.streams-1)
+	if cfg.Scheduler == Decoupled {
+		c.selDelay = 1
+	}
 	if c.caps.Compare == CompareEpoch {
 		c.replay = newReplayState(cfg)
 	}
@@ -235,7 +250,7 @@ func NewAt(cfg Config, m *fsim.Machine) (*Core, error) {
 }
 
 // Release returns the core's recyclable buffers (the uop arena, event
-// heap and ready list) to the package pool for the next run. The sim
+// heap and ready set) to the package pool for the next run. The sim
 // driver calls it when a run's statistics have been extracted; the core
 // must not be ticked afterwards. Release is idempotent and optional —
 // a core that is never released just leaves its buffers to the GC.
@@ -248,11 +263,10 @@ func (c *Core) Release() {
 	// Drop uop references held beyond the slices' logical lengths so the
 	// pooled backing arrays do not pin a finished run's pipeline state.
 	clear(c.events)
-	clear(c.ready[:cap(c.ready)])
 	sc.events = c.events[:0]
-	sc.ready = c.ready[:0]
+	sc.ready = c.ready.release()
 	sc.free = c.freeUops
-	c.events, c.ready, c.freeUops = nil, nil, nil
+	c.events, c.ready, c.freeUops = nil, readySet{}, nil
 	scratchPool.Put(sc)
 }
 
@@ -320,23 +334,119 @@ func (c *Core) Abort(err error) {
 // Run simulates until the program halts, MaxInsns commit, an internal
 // limit trips, or the run is stopped via RequestStop or Abort. The final
 // statistics are in c.Stats.
+//
+// Run pays only for cycles that can change machine state: after a quiet
+// cycle it jumps over the cycles that would repeat it (see skipQuiet).
+// The statistics, commit stream and errors are those of ticking every
+// cycle.
 func (c *Core) Run() error {
 	for !c.done {
 		if c.stopReq.Load() {
 			c.Stats.Cycles = c.cycle
 			return ErrStopped
 		}
+		before := c.stallCounters()
 		c.Tick()
-		if c.cfg.MaxCycles > 0 && c.cycle > c.cfg.MaxCycles {
-			return fmt.Errorf("core: %q exceeded %d cycles", c.prog.Name, c.cfg.MaxCycles)
+		if !c.acted && !c.done {
+			c.skipQuiet(before)
 		}
-		if c.cycle > c.lastCommitCycle && c.cycle-c.lastCommitCycle > deadlockWindow {
-			return fmt.Errorf("core: %q deadlocked at cycle %d (ruu=%d lsq=%d fq=%d committed=%d)",
-				c.prog.Name, c.cycle, c.ruu.len(), c.lsq.len(), c.fq.len(), c.Stats.Committed)
+		if err := c.checkLimits(); err != nil {
+			return err
 		}
 	}
 	c.Stats.Cycles = c.cycle
 	return c.abortErr
+}
+
+// checkLimits reports a run that has exceeded MaxCycles or gone
+// deadlockWindow cycles without a commit.
+func (c *Core) checkLimits() error {
+	if c.cfg.MaxCycles > 0 && c.cycle > c.cfg.MaxCycles {
+		return fmt.Errorf("core: %q exceeded %d cycles", c.prog.Name, c.cfg.MaxCycles)
+	}
+	if c.cycle > c.lastCommitCycle && c.cycle-c.lastCommitCycle > deadlockWindow {
+		return fmt.Errorf("core: %q deadlocked at cycle %d (ruu=%d lsq=%d fq=%d committed=%d)",
+			c.prog.Name, c.cycle, c.ruu.len(), c.lsq.len(), c.fq.len(), c.Stats.Committed)
+	}
+	return nil
+}
+
+// stallCounters are the only statistics a quiet cycle changes: the
+// per-cycle stall and contention counts of select and dispatch.
+type stallCounters struct {
+	readyNotIssued, ruuFull, lsqFull, fetchQEmpty uint64
+}
+
+func (c *Core) stallCounters() stallCounters {
+	return stallCounters{c.Stats.ReadyNotIssued, c.Stats.RUUFullStalls, c.Stats.LSQFullStalls, c.Stats.FetchQEmpty}
+}
+
+// skipQuiet runs after a quiet cycle — one in which no stage changed any
+// state but the stall counters. Every stage decides from the machine
+// state and from comparisons of the cycle against a few time stamps, so
+// the cycles up to the next wake source (see nextWake) would each repeat
+// the quiet cycle exactly. skipQuiet jumps to the last of them and adds
+// the quiet cycle's increment of each stall counter once per skipped
+// cycle. The jump stops at the deadlock window and at MaxCycles, so both
+// errors fire at the cycle they would when ticking.
+func (c *Core) skipQuiet(before stallCounters) {
+	last := c.nextWake() - 1
+	if limit := c.lastCommitCycle + deadlockWindow; last > limit {
+		last = limit
+	}
+	if c.cfg.MaxCycles > 0 && last > c.cfg.MaxCycles {
+		last = c.cfg.MaxCycles
+	}
+	if last <= c.cycle {
+		return
+	}
+	n := last - c.cycle
+	c.Stats.ReadyNotIssued += n * (c.Stats.ReadyNotIssued - before.readyNotIssued)
+	c.Stats.RUUFullStalls += n * (c.Stats.RUUFullStalls - before.ruuFull)
+	c.Stats.LSQFullStalls += n * (c.Stats.LSQFullStalls - before.lsqFull)
+	c.Stats.FetchQEmpty += n * (c.Stats.FetchQEmpty - before.fetchQEmpty)
+	c.cycle = last
+	c.skipped += n
+}
+
+// nextWake returns the earliest cycle after the current one at which a
+// stage's decision can change without any state having changed, or the
+// maximum cycle when nothing is pending. The wake sources are the next
+// completion event, the end of a fetch or REPLAY stall, the cycle a
+// pending uop becomes selectable or a reuse test's lookup data arrives,
+// and the cycle a busy functional unit frees up.
+func (c *Core) nextWake() uint64 {
+	if c.cycle <= c.stallUntil {
+		// Nothing but the stall's end matters while it lasts.
+		return c.stallUntil + 1
+	}
+	next := ^uint64(0)
+	after := func(at uint64) {
+		if at > c.cycle && at < next {
+			next = at
+		}
+	}
+	if len(c.events) > 0 {
+		after(c.events[0].cycle)
+	}
+	after(c.fetchStallUntil)
+	for _, u := range c.ready.pending {
+		after(u.readyAt + c.selDelay)
+	}
+	for _, u := range c.ready.tests {
+		after(u.irbReady)
+	}
+	for _, p := range [2]*fuPool{c.fus, c.fusDup} {
+		if p == nil {
+			continue
+		}
+		for _, units := range p.busyUntil {
+			for _, b := range units {
+				after(b)
+			}
+		}
+	}
+	return next
 }
 
 // Tick advances the machine one cycle. Stages run commit-first so a result
@@ -346,6 +456,7 @@ func (c *Core) Run() error {
 //lint:hotpath
 func (c *Core) Tick() {
 	c.cycle++
+	c.acted = false
 	if c.cycle <= c.stallUntil {
 		// REPLAY epoch check in progress: the replay engine owns the
 		// datapath, nothing else advances (see replayEpochCheck).
@@ -367,6 +478,7 @@ func (c *Core) fetch() {
 		return
 	}
 	for budget := c.cfg.FetchWidth; budget > 0 && !c.fq.full(); budget-- {
+		c.acted = true
 		addr := c.fetchPC * isa.InstrBytes
 		block := addr / uint64(c.cfg.Cache.L1I.BlockBytes)
 		if block != c.curFetchBlock {
@@ -428,6 +540,7 @@ func (c *Core) dispatch() {
 				// dispatchable; the queue can only hold stale
 				// entries if fetch raced a redirect.
 				c.fq.clear()
+				c.acted = true
 				return
 			}
 			if fe.pc != c.front.PC() {
@@ -450,16 +563,17 @@ func (c *Core) dispatch() {
 			wrong = true
 		}
 		c.fq.popFront()
+		c.acted = true
 		slots -= need
 
 		// One copy group: the primary plus streams-1 shadow copies,
 		// linked into a circular pair ring (primary -> dup1 -> ... ->
 		// primary) so recovery can reach every member from any one.
-		primary := c.newUop(&fe, rec, wrong, false)
+		primary := c.newUop(&fe, &rec, wrong, false)
 		dups := c.dupBuf[:0]
 		prev := primary
 		for s := 1; s < need; s++ {
-			dupU := c.newUop(&fe, rec, wrong, true)
+			dupU := c.newUop(&fe, &rec, wrong, true)
 			prev.pair = dupU
 			prev = dupU
 			dups = append(dups, dupU)
@@ -478,9 +592,10 @@ func (c *Core) dispatch() {
 		}
 
 		c.wireAndRename(primary, dups)
-		// Copies whose operands are all available are selectable now;
-		// the rest enter the ready list when their last producer wakes
-		// them. FUNone and TRB-served copies never issue.
+		// Copies whose operands are all available enter the ready set
+		// now, selectable from the next cycle; the rest enter it when
+		// their last producer wakes them. FUNone and TRB-served copies
+		// never issue.
 		if primary.state == uWaiting && primary.waitCount == 0 {
 			c.makeReady(primary)
 		}
@@ -520,11 +635,11 @@ func (c *Core) dispatch() {
 // injection and starting the IRB lookup where the mode calls for it.
 //
 //lint:hotpath
-func (c *Core) newUop(fe *fetchEntry, rec fsim.Retired, wrong, dup bool) *uop {
+func (c *Core) newUop(fe *fetchEntry, rec *fsim.Retired, wrong, dup bool) *uop {
 	c.seq++
 	u := c.allocUop()
 	u.seq = c.seq
-	u.rec = rec
+	u.rec = *rec
 	u.dup = dup
 	u.wrongPath = wrong
 	u.dispatchCycle = c.cycle
@@ -682,6 +797,7 @@ func (c *Core) wireSources(u *uop, table *[isa.NumRegs]prodRef) {
 
 //lint:hotpath
 func (c *Core) selectIssue() {
+	c.promote()
 	slots := c.cfg.IssueWidth
 	if c.cfg.Clustered {
 		// Each cluster has its own issue unit of half the width; the
@@ -696,13 +812,6 @@ func (c *Core) selectIssue() {
 			slots = 1
 		}
 	}
-	// The decoupled (non-data-capture) scheduler pipelines wakeup and
-	// selection: an instruction woken in cycle t is selectable in t+1,
-	// after its register file read (Section 3.3).
-	var selDelay uint64
-	if c.cfg.Scheduler == Decoupled {
-		selDelay = 1
-	}
 	// Selection runs in two passes, primaries before duplicates (each
 	// oldest-first): the paper's design keeps the primary stream
 	// "executed by the functional units as in SIE", so ready duplicates
@@ -710,113 +819,21 @@ func (c *Core) selectIssue() {
 	// the first pass regardless — it is overlapped with wakeup and
 	// consumes neither an issue slot nor a functional unit.
 	//
-	// Each pass walks only the ready list, compacting it in place:
-	// entries that issued or completed by reuse are dropped. A reuse hit
-	// in the first pass wakes its consumers into the list while the walk
-	// is under way; they are younger than the hit, so makeReady places
-	// them in the unscanned tail and — with IRBChaining under the
-	// data-capture scheduler — they can be selected in this same cycle.
-	// A reuse hit that resolves a mispredicted branch recovers, and the
-	// recovery ends this cycle's selection (recover rebuilt the list).
-	for pass := 0; pass < 2; pass++ {
-		w := 0
-		for k := 0; k < len(c.ready); k++ {
-			u := c.ready[k]
-			if c.trySelect(u, pass, &slots, selDelay) {
-				return
-			}
-			if u.state == uWaiting {
-				c.ready[w] = u
-				w++
-			}
-		}
-		c.ready = c.ready[:w]
-		if c.streams == 1 {
-			break
-		}
-		if c.cfg.Clustered {
-			// The duplicate cluster's issue unit has its own slots.
-			slots = c.cfg.IssueWidth / 2
-		}
+	// A reuse hit in the first pass wakes its consumers while the pass
+	// is under way; they are younger than the hit, so they land ahead of
+	// the pass's cursors and — with IRBChaining under the data-capture
+	// scheduler — can be selected in this same cycle. A reuse hit that
+	// resolves a mispredicted branch recovers, and the recovery ends
+	// this cycle's selection (recover rebuilt the ready set).
+	slots, recovered := c.selectPass(0, slots)
+	if recovered || c.streams == 1 {
+		return
 	}
-}
-
-// trySelect runs the per-candidate body of the issue loop for a ready-list
-// uop: the overlapped IRB reuse test on the first pass, then the pass's
-// slot and functional unit arbitration. It reports whether a reuse
-// completion resolved a mispredicted branch and triggered recovery, which
-// ends the cycle's selection.
-//
-//lint:hotpath
-func (c *Core) trySelect(u *uop, pass int, slots *int, selDelay uint64) bool {
-	if u.readyAt+selDelay > c.cycle {
-		return false
+	if c.cfg.Clustered {
+		// The duplicate cluster's issue unit has its own slots.
+		slots = c.cfg.IssueWidth / 2
 	}
-
-	if pass == 0 && u.irbPCHit && !u.irbTested && c.cycle >= u.irbReady {
-		u.irbTested = true
-		if c.reuseTest(u) {
-			u.reuseHit = true
-			c.Stats.IRBReuseHits++
-			if c.tracer != nil {
-				c.tracer.ReuseHit(c.cycle, u.seq, &u.rec)
-			}
-			u.outSig = irbOutSig(&u.rec, u.irbEntry)
-			return c.completeUop(u)
-		}
-		c.Stats.IRBReuseMiss++
-	}
-	if u.dup != (pass == 1) {
-		return false
-	}
-
-	if *slots == 0 {
-		c.Stats.ReadyNotIssued++
-		return false
-	}
-	op := u.rec.Instr.Op
-	if !c.allocFU(u, op) {
-		c.Stats.ReadyNotIssued++
-		return false
-	}
-	(*slots)--
-	c.Stats.IssueSlotsUsed++
-	c.Stats.Issued[fuBucket(op)]++
-	if u.dup {
-		c.Stats.DupFUExec++
-	}
-	if u.irbPCHit && !u.irbTested {
-		c.Stats.IRBNotReady++
-	}
-	if c.tracer != nil {
-		c.tracer.Issue(c.cycle, u.seq, u.dup, &u.rec)
-	}
-	u.state = uIssued
-	if op.Info().IsMem() {
-		// Address generation: one IntALU cycle; the memory access
-		// (primary copy only) follows via the LSQ.
-		c.events.schedule(c.cycle+1, evAddrDone, u)
-	} else {
-		c.events.schedule(c.cycle+uint64(op.Info().Latency), evExecDone, u)
-	}
-	return false
-}
-
-// makeReady inserts u, whose last pending operand has just been produced,
-// into the ready list at its age position. Wakeups mostly concern young
-// uops, so the insertion walks from the tail; during selectIssue's walk a
-// woken consumer is always younger than the reuse hit that woke it and
-// so lands in the unscanned part of the list.
-//
-//lint:hotpath
-func (c *Core) makeReady(u *uop) {
-	r := append(c.ready, u)
-	i := len(r) - 1
-	for ; i > 0 && r[i-1].seq > u.seq; i-- {
-		r[i] = r[i-1]
-	}
-	r[i] = u
-	c.ready = r
+	c.selectPass(1, slots)
 }
 
 // reuseTest runs the configured reuse test for a PC-hitting duplicate:
@@ -829,20 +846,6 @@ func (c *Core) reuseTest(u *uop) bool {
 		return u.irbEntry.MatchesVersions(u.ver1, u.ver2)
 	}
 	return u.irbEntry.Matches(u.src1c, u.src2c)
-}
-
-// allocFU reserves a functional unit for u, honouring the cluster split:
-// with Clustered, primaries draw from cluster 0 and duplicates from
-// cluster 1, falling back to the shared pool for singleton units.
-//
-//lint:hotpath
-func (c *Core) allocFU(u *uop, op isa.Op) bool {
-	cl, occ := op.Info().Class, occupancy(op)
-	pool := c.fus
-	if c.cfg.Clustered && u.dup {
-		pool = c.fusDup
-	}
-	return pool.alloc(cl, c.cycle, occ)
 }
 
 func fuBucket(op isa.Op) int {
@@ -884,6 +887,7 @@ func (c *Core) memIssue() {
 		}
 		if fwd := c.forwardingStore(i, u.rec.Addr); fwd {
 			u.memStarted = true
+			c.acted = true
 			c.Stats.LoadForwarded++
 			c.events.schedule(c.cycle+1, evLoadDone, u)
 			continue
@@ -894,6 +898,7 @@ func (c *Core) memIssue() {
 		ports--
 		lat := c.mem.AccessD(u.rec.Addr, false)
 		u.memStarted = true
+		c.acted = true
 		c.events.schedule(c.cycle+uint64(lat), evLoadDone, u)
 	}
 }
@@ -922,6 +927,7 @@ func (c *Core) forwardingStore(loadIdx int, addr uint64) bool {
 func (c *Core) writeback() {
 	for len(c.events) > 0 && c.events[0].cycle <= c.cycle {
 		e := c.events.pop()
+		c.acted = true
 		u := e.u
 		if u.gen != e.gen || u.state == uSquashed {
 			// The uop was squashed (and possibly recycled into a new
@@ -1048,15 +1054,10 @@ func (c *Core) recover(u *uop) {
 		c.tracer.Squash(c.cycle, killed)
 	}
 	c.rebuildRename()
-	// Rebuild the ready list from the surviving window, which is in age
-	// order: the squashed suffix is gone, and a compaction may have been
-	// in flight over the old list if recovery fired inside selectIssue.
-	c.ready = c.ready[:0]
-	for i := 0; i < c.ruu.len(); i++ {
-		if s := c.ruu.at(i); s.state == uWaiting && s.waitCount == 0 {
-			c.ready = append(c.ready, s)
-		}
-	}
+	// Rebuild the ready set from the surviving window: the squashed
+	// suffix is gone, and a selection pass may have been under way over
+	// the old lists if recovery fired inside selectIssue.
+	c.rebuildReady()
 	if c.trb != nil {
 		// Defensive: windows end at the block's control transfer, so
 		// EnterSpec can only fire at a window's final instruction —
@@ -1151,6 +1152,7 @@ func (c *Core) commit() {
 				dupU = u
 			}
 		}
+		c.acted = true
 		switch {
 		case c.caps.Compare == CompareVote:
 			// Majority vote: a lone dissenter is outvoted and the

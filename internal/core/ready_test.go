@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/fsim"
+	"repro/internal/isa"
 	"repro/internal/program"
 )
 
@@ -27,6 +29,7 @@ func (s *selectionTracer) ReuseHit(_, seq uint64, _ *fsim.Retired) {
 // beforeSelect between memory issue and select/issue.
 func tickByHand(c *Core, beforeSelect func()) {
 	c.cycle++
+	c.acted = false
 	if c.cycle <= c.stallUntil {
 		return
 	}
@@ -39,41 +42,99 @@ func tickByHand(c *Core, beforeSelect func()) {
 	c.fetch()
 }
 
-// checkReadyList verifies the ready-list invariants against the RUU: the
-// list holds exactly the uWaiting uops whose waitCount is zero, each once,
-// in strictly ascending seq order.
-func checkReadyList(t *testing.T, c *Core) {
+// checkReadyList verifies the ready-set invariants against the RUU: every
+// uWaiting uop whose waitCount is zero is in exactly one place — its own
+// (stream, FU class) list if it is selectable this cycle, the pending list
+// if it is not — every list is in strictly ascending seq order, and the
+// test list holds exactly the listed uops whose IRB reuse test is due to
+// run. where is scratch space reused across calls.
+func checkReadyList(t *testing.T, c *Core, where map[*uop]string) {
 	t.Helper()
-	for k, u := range c.ready {
-		if u.waitCount != 0 {
-			t.Fatalf("cycle %d: ready[%d] (seq %d) has waitCount %d", c.cycle, k, u.seq, u.waitCount)
+	clear(where)
+	put := func(u *uop, name string) {
+		if prev, dup := where[u]; dup {
+			t.Fatalf("cycle %d: seq %d is in both %s and %s", c.cycle, u.seq, prev, name)
 		}
-		if k > 0 && c.ready[k-1].seq >= u.seq {
-			t.Fatalf("cycle %d: ready list out of order at %d: seq %d then %d",
-				c.cycle, k, c.ready[k-1].seq, u.seq)
+		where[u] = name
+	}
+	sorted := func(l []*uop, name string) {
+		for k := 1; k < len(l); k++ {
+			if l[k-1].seq >= l[k].seq {
+				t.Fatalf("cycle %d: %s out of order at %d: seq %d then %d", c.cycle, name, k, l[k-1].seq, l[k].seq)
+			}
 		}
 	}
-	k := 0
+	for s := range c.ready.lists {
+		for cl, l := range c.ready.lists[s] {
+			if len(l) == 0 {
+				continue
+			}
+			name := listNames[s][cl]
+			sorted(l, name)
+			for _, u := range l {
+				if stream(u) != s || int(u.rec.Instr.Op.Info().Class) != cl {
+					t.Fatalf("cycle %d: seq %d (dup=%v %s) filed in %s", c.cycle, u.seq, u.dup, u.rec.Instr.Op, name)
+				}
+				if u.readyAt+c.selDelay > c.cycle {
+					t.Fatalf("cycle %d: %s holds seq %d, not selectable until %d", c.cycle, name, u.seq, u.readyAt+c.selDelay)
+				}
+				put(u, name)
+			}
+		}
+	}
+	// During a REPLAY stall no stage runs, so nothing is promoted.
+	stalled := c.cycle <= c.stallUntil
+	for _, u := range c.ready.pending {
+		if u.readyAt+c.selDelay <= c.cycle && !stalled {
+			t.Fatalf("cycle %d: pending holds seq %d, selectable since %d", c.cycle, u.seq, u.readyAt+c.selDelay)
+		}
+		put(u, "pending")
+	}
+	n := 0
 	for i := 0; i < c.ruu.len(); i++ {
 		u := c.ruu.at(i)
 		if u.state != uWaiting || u.waitCount != 0 {
 			continue
 		}
-		if k >= len(c.ready) || c.ready[k] != u {
-			t.Fatalf("cycle %d: selectable RUU uop seq %d missing from the ready list (%d entries)",
-				c.cycle, u.seq, len(c.ready))
+		n++
+		w, ok := where[u]
+		if !ok {
+			t.Fatalf("cycle %d: selectable RUU uop seq %d missing from the ready set", c.cycle, u.seq)
 		}
-		k++
+		if u.irbPCHit && !u.irbTested && w != "pending" {
+			where[u] = "untested"
+		}
 	}
-	if k != len(c.ready) {
-		t.Fatalf("cycle %d: ready list has %d entries, the RUU only %d selectable uops",
-			c.cycle, len(c.ready), k)
+	if n != len(where) {
+		t.Fatalf("cycle %d: ready set has %d entries, the RUU only %d selectable uops", c.cycle, len(where), n)
+	}
+	sorted(c.ready.tests, "test list")
+	for _, u := range c.ready.tests {
+		if where[u] != "untested" {
+			t.Fatalf("cycle %d: test list holds seq %d (tested=%v, in %s)", c.cycle, u.seq, u.irbTested, where[u])
+		}
+		where[u] = "tested"
+	}
+	for u, w := range where {
+		if w == "untested" {
+			t.Fatalf("cycle %d: seq %d awaits its reuse test but is not in the test list", c.cycle, u.seq)
+		}
 	}
 }
 
+// listNames names the (stream, class) lists in checkReadyList's messages.
+var listNames = func() (n [2][isa.NumFUClasses]string) {
+	for s := range n {
+		for cl := range n[s] {
+			n[s][cl] = fmt.Sprintf("list[stream %d][%s]", s, isa.FUClass(cl))
+		}
+	}
+	return n
+}()
+
 // readyRun hand-ticks prog on cfg under an FU fault injector, checking the
-// ready-list invariants after every cycle. It returns the core and how
-// many uops were selected in the same cycle they entered the ready list
+// ready-set invariants after every cycle. It returns the core and how
+// many uops were selected in the same cycle they entered the ready set
 // during select (the chaining merge).
 func readyRun(t *testing.T, cfg Config, prog *program.Program, seed uint64) (*Core, int) {
 	t.Helper()
@@ -89,13 +150,21 @@ func readyRun(t *testing.T, cfg Config, prog *program.Program, seed uint64) (*Co
 	tr := &selectionTracer{}
 	c.SetTracer(tr)
 	before := make(map[uint64]bool)
+	where := make(map[*uop]string)
 	merged := 0
 	for !c.done && c.cycle < cfg.MaxCycles {
 		clear(before)
 		tr.selected = tr.selected[:0]
 		tickByHand(c, func() {
-			for _, u := range c.ready {
+			for _, u := range c.ready.pending {
 				before[u.seq] = true
+			}
+			for s := range c.ready.lists {
+				for _, l := range c.ready.lists[s] {
+					for _, u := range l {
+						before[u.seq] = true
+					}
+				}
 			}
 		})
 		for _, seq := range tr.selected {
@@ -103,7 +172,7 @@ func readyRun(t *testing.T, cfg Config, prog *program.Program, seed uint64) (*Co
 				merged++
 			}
 		}
-		checkReadyList(t, c)
+		checkReadyList(t, c, where)
 	}
 	if !c.done {
 		t.Fatalf("no completion within %d cycles", cfg.MaxCycles)
@@ -128,7 +197,7 @@ func readyRun(t *testing.T, cfg Config, prog *program.Program, seed uint64) (*Co
 	return c, merged
 }
 
-// TestReadyListInvariants holds the ready list to its definition after
+// TestReadyListInvariants holds the ready set to its definition after
 // every cycle of every mode, with and without chaining and the scheduler
 // variants, on the random programs, under FU fault injection so that
 // branch recovery (recover) and fault recovery (recoverFault) both rebuild

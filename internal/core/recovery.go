@@ -124,7 +124,7 @@ func (c *Core) recoverFault(head, dupU *uop) {
 		c.tracer.Squash(c.cycle, killed)
 	}
 	c.rebuildRename()
-	c.ready = c.ready[:0]
+	c.ready.reset()
 	c.fetchPC = pc
 	c.fq.clear()
 	c.fetchStopped = false

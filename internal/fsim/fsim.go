@@ -17,7 +17,7 @@ package fsim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/program"
@@ -71,7 +71,7 @@ func New(prog *program.Program) *Machine {
 	for addr := range prog.Data {
 		addrs = append(addrs, addr)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 	for _, addr := range addrs {
 		m.Mem.Write(addr, prog.Data[addr])
 	}

@@ -21,6 +21,11 @@ type Trace struct {
 
 	preflightOnce sync.Once
 	preflightErr  error
+
+	// image is the program's initial data memory, built once at capture
+	// and shared copy-on-write by the capturing machine and every replay
+	// machine (see NewReplay).
+	image []memPage
 }
 
 // initialTraceCap bounds the first buffer allocation in Capture so a huge
@@ -35,8 +40,8 @@ func Capture(prog *program.Program, maxInstrs uint64) (*Trace, error) {
 	if capHint > initialTraceCap {
 		capHint = initialTraceCap
 	}
-	t := &Trace{prog: prog, recs: make([]Retired, 0, capHint)}
-	m := New(prog)
+	t := &Trace{prog: prog, recs: make([]Retired, 0, capHint), image: New(prog).Mem.image()}
+	m := &Machine{Prog: prog, Mem: memoryFrom(t.image), PC: prog.Entry}
 	for uint64(len(t.recs)) < maxInstrs && !m.Halted {
 		r, err := m.Step()
 		if err != nil {
@@ -125,8 +130,10 @@ func (c *Cursor) Remaining() uint64 { return uint64(len(c.recs) - c.pos) }
 // The wrong-path overlay (Front) composes with replay unchanged: the
 // overlay reads the machine's registers and memory, which replay keeps as
 // current as interpretation would.
+//
+// The initial data memory is built from the program once per trace; each
+// replay machine shares its pages and copies one at its first store to
+// it, so a store in one machine is never visible in another.
 func NewReplay(t *Trace) *Machine {
-	m := New(t.prog)
-	m.replay = t
-	return m
+	return &Machine{Prog: t.prog, Mem: memoryFrom(t.image), PC: t.prog.Entry, replay: t}
 }

@@ -167,3 +167,57 @@ func TestPreflightMemoized(t *testing.T) {
 		t.Errorf("check ran %d times, want 1", calls)
 	}
 }
+
+// TestReplayMemoryImage holds NewReplay's shared initial-memory image to
+// what New installs: every replay machine starts with New's pages, word
+// for word, sharing them until it writes one — and a store in one replay
+// machine is not visible in another or in the image later machines are
+// built from.
+func TestReplayMemoryImage(t *testing.T) {
+	prog, base := traceTestProgram(t, 4)
+	// A second array far from the first spreads the data over pages.
+	fb := program.NewBuilder("image-test")
+	far := fb.Array(3*pageWords, func(i int) uint64 { return uint64(i)*7 + 1 })
+	fb.Emit(isa.Instr{Op: isa.OpHalt})
+	farProg, err := fb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*program.Program{prog, farProg} {
+		tr, err := Capture(p, 1_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := New(p).Mem
+		a, b := NewReplay(tr), NewReplay(tr)
+		for _, m := range []*Machine{a, b} {
+			if len(m.Mem.pages) != len(want.pages) {
+				t.Fatalf("%s: replay memory has %d pages, New %d", p.Name, len(m.Mem.pages), len(want.pages))
+			}
+			for idx, pg := range want.pages {
+				if got := m.Mem.pages[idx].words; got == nil || *got != *pg.words {
+					t.Fatalf("%s: page %d differs from New's", p.Name, idx)
+				}
+			}
+		}
+		addr := base
+		if p == farProg {
+			addr = far + 8*pageWords
+		}
+		orig := want.Read(addr)
+		page := addr / 8 / pageWords
+		if a.Mem.pages[page].words != b.Mem.pages[page].words {
+			t.Errorf("%s: replay machines do not share an unwritten page", p.Name)
+		}
+		a.Mem.Write(addr, orig+1)
+		if got := a.Mem.Read(addr); got != orig+1 {
+			t.Errorf("%s: store not visible in its own machine: %d, want %d", p.Name, got, orig+1)
+		}
+		if got := b.Mem.Read(addr); got != orig {
+			t.Errorf("%s: store in one replay machine seen by another: %d, want %d", p.Name, got, orig)
+		}
+		if got := NewReplay(tr).Mem.Read(addr); got != orig {
+			t.Errorf("%s: store in a replay machine leaked into the image: %d, want %d", p.Name, got, orig)
+		}
+	}
+}

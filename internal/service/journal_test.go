@@ -223,8 +223,8 @@ func TestSSEDisconnectLeavesRunAndJournalIntact(t *testing.T) {
 // behavior is visible per cell.
 const twoCellRun = `{"configs":["DIE-IRB"],"benchmarks":["gzip","bzip2"],"insns":2000}`
 
-// TestJournalResumeSkipsCompletedCells is the coordinator-restart drill:
-// a run crashes after completing its cells but before its finish record.
+// TestJournalResumeSkipsCompletedCells is the daemon-restart drill: a
+// run crashes after completing its cells but before its finish record.
 // The restarted server must resume it from the journal — every completed
 // cell served from the replayed cache, bit-identical, not re-simulated —
 // and new run IDs must not collide with the recovered one.
@@ -364,8 +364,8 @@ func TestJournalRestoreFinishedRun(t *testing.T) {
 }
 
 // TestRetryAfterIsJittered: admission rejections carry a Retry-After
-// whose value comes from the shared jittered backoff helper — sane
-// bounds, and not the same constant for every rejected client.
+// whose value the server jitters (Server.retryAfter) — sane bounds, and
+// not the same constant for every rejected client.
 func TestRetryAfterIsJittered(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	s.BeginDrain()

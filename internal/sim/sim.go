@@ -236,7 +236,7 @@ func RunContext(ctx context.Context, name string, cfg core.Config, p workload.Pr
 	if err != nil {
 		return Result{}, err
 	}
-	// Return the core's recycled buffers (event heap, ready list, uop
+	// Return the core's recycled buffers (event heap, ready set, uop
 	// arena) to the shared pool once the stats below have been copied out.
 	defer c.Release()
 	if opts.Injector != nil {
